@@ -2,20 +2,27 @@
 joint (Gaussian base x integer base) pseudoprime table, and verification
 of externally published pseudoprime lists.
 
-Ranges are split into fixed-size blocks scattered over worker processes;
-block results are merged in block order, so output is byte-identical for
-any worker count.  Primality inside a block comes from a segmented sieve
-below 2**32 and deterministic Miller-Rabin above.  All kernels are pure;
-a cancelled run simply never returns a partial result.
+Ranges are split into fixed-size blocks scattered over worker processes,
+never more of them than the CPUs this process may run on; block results
+are merged in block order, so output is byte-identical for any worker
+count.  Primality inside a block comes from a segmented sieve below 2**32
+and deterministic Miller-Rabin above.  For the joint table, each block is
+sieved per integer base by multiplicative orders modulo small prime
+powers and by large prime factors, so the exact Fermat test runs on a few
+percent of the composites only.  All kernels are pure; a cancelled run
+simply never returns a partial result.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, lcm
 
 from .arith import (
@@ -159,16 +166,28 @@ def _blocks(lo: int, hi: int, block_size: int):
     return out
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_blocks(kernel, tasks, workers: int, progress=None):
-    """Run kernel over tasks, merging results in task order."""
+    """Run kernel over tasks, merging results in task order.
+
+    The pool never exceeds the available CPUs or the task count.
+    """
     results = []
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks), available_cpus())
+    if workers <= 1:
         for i, task in enumerate(tasks):
             results.append(kernel(task))
             if progress:
                 progress(i + 1, len(tasks))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, res in enumerate(pool.map(kernel, tasks)):
                 results.append(res)
                 if progress:
@@ -331,34 +350,137 @@ def _intersection_kernel(task):
     return hits
 
 
-def _psp_mask_kernel(task):
-    """Composite n (after filter) with their classical-pseudoprime base mask."""
-    lo, hi, residue_filter, prime_powers, base_decomp = task
-    flags = _composite_flags(lo, hi)
-    out = []
-    for n in _filtered_range(lo, hi, residue_filter):
-        if not flags[n - lo]:
-            continue
-        e = n - 1
-        powers = {}
-        for p in prime_powers:
-            if n % p:
-                powers[p] = pow(p, e, n)
-        mask = 0
-        for j, decomp in enumerate(base_decomp):
-            acc = 1
-            for p, k in decomp:
-                x = powers.get(p)
-                if x is None:
-                    acc = -1
+def _class_in_progression(start: int, m: int, c: int, modulus: int):
+    """(first index, index step) of the terms of start, start+m, ... that are
+    = c (mod modulus), or None when the progression never meets that class."""
+    g = gcd(m, modulus)
+    if (c - start) % g:
+        return None
+    step = modulus // g
+    return (c - start) // g * pow(m // g, -1, step) % step, step
+
+
+def _mask_orders(integer_bases, hi: int):
+    """Per integer base a: (a, qs, ds), two int64 arrays over prime powers
+    q < hi whose prime is a sieve prime, where d = ord_q(a), or d = 0 when
+    no multiple of q can pass base a (the prime divides a or d).  Pairs with
+    d = 1 carry no condition and are left out.  Arrays keep the task that
+    carries them to every block small.
+
+    Only primes up to sqrt(min(hi, 2**32)) are used, which is sound at any
+    height: the sieve merely rules out fewer candidates.
+    """
+    primes = _base_primes(isqrt(min(hi, _SIEVE_CUTOFF) - 1) + 1)
+    out = tuple((a, array("q"), array("q")) for a in integer_bases)
+    for p in primes:
+        p1_factors = [f for f, _ in factorize(p - 1).factors] if p > 2 else []
+        for a, qs, ds in out:
+            if a % p == 0:
+                qs.append(p)
+                ds.append(0)
+                continue
+            d = p - 1
+            for f in p1_factors:
+                while d % f == 0 and pow(a, d // f, p) == 1:
+                    d //= f
+            q = p
+            while q < hi:
+                while pow(a, d, q) != 1:  # ord_q(a) is ord_p(a) times a power of p
+                    d *= p
+                if d % p == 0:
+                    qs.append(q)
+                    ds.append(0)
                     break
-                for _ in range(k):
-                    acc = acc * x % n
-            if acc == 1:
-                mask |= 1 << j
-        if mask:
-            out.append((n, mask))
+                if d > 1:
+                    qs.append(q)
+                    ds.append(d)
+                q *= p
     return out
+
+
+_NOT = bytes([1]) + bytes(255)  # translate table: byte 0 -> 1, anything else -> 0
+
+
+def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearray:
+    """codes[i] for n = start + i*m in [lo, hi): 0 if n is prime, else the
+    least k in [2, kmax] with n/k prime, else 1."""
+    codes = _composite_flags(lo, hi)[start - lo :: m]
+    size = len(codes)
+    for k in range(kmax, 1, -1):  # descending, so the least k is written last
+        found = _class_in_progression(start, m, 0, k)
+        if found is None:
+            continue
+        i, step = found
+        p0, pstep = (start + i * m) // k, step * m // k
+        if p0 < 2:  # n = k itself: its cofactor 1 is no prime
+            i, p0 = i + step, p0 + pstep
+        count = len(range(i, size, step))
+        if count <= 0:
+            continue
+        prime = int.from_bytes(
+            _composite_flags(p0, p0 + (count - 1) * pstep + 1)[::pstep].translate(_NOT),
+            "little",
+        )
+        sub = int.from_bytes(codes[i::step], "little")
+        codes[i::step] = (sub & ~(prime * 255) | prime * k).to_bytes(count, "little")
+    return codes
+
+
+def _psp_mask_kernel(task):
+    """Composite n (after filter) with their classical-pseudoprime base mask.
+
+    For each integer base a, a sieve over the block rules out the n that
+    cannot satisfy a^(n-1) = 1 (mod n); only the survivors pay for the
+    exact test pow(a, n-1, n) == 1.  The sieve removes n in two ways:
+
+    * order sieve: a prime power q | n forces ord_q(a) | n-1, so of the
+      multiples of q only n = 0 (mod q), n = 1 (mod ord_q(a)) can pass;
+    * large prime: if n = kP with P prime, then a^(n-1) = a^(k-1) (mod P),
+      so n fails whenever P > a^(k-1) - 1 >= 1 (after R. G. E. Pinch, "The
+      pseudoprimes up to 10^13", ANTS-IV, 2000).
+    """
+    lo, hi, residue_filter, base_orders = task
+    m, r = residue_filter or (1, 0)
+    start = lo + (r - lo) % m
+    ns = range(start, hi, m)
+    size = len(ns)
+    amin = min(a for a, _, _ in base_orders)
+    # the large-prime rule can act on k <= kmax for some base; it needs the
+    # primality of n/k, which the segmented sieve gives below the cutoff
+    kmax = 1
+    while hi <= _SIEVE_CUTOFF and (kmax + 1) * (amin**kmax - 1) < hi:
+        kmax += 1
+    codes = _cofactor_codes(lo, hi, m, start, kmax)
+    masks = {}
+    for j, (a, qs, ds) in enumerate(base_orders):
+        flags = bytearray(codes)
+        for k in range(2, kmax + 1):
+            bound = k * (a ** (k - 1) - 1)  # n = kP > bound has P > a^(k-1) - 1
+            if bound >= hi:
+                break
+            i = max(0, (bound - start) // m + 1)
+            kill = bytearray(range(256))
+            kill[k] = 0
+            flags[i:] = flags[i:].translate(kill)
+        for q, d in zip(qs, ds):
+            multiples = _class_in_progression(start, m, 0, q)
+            if multiples is None:
+                continue
+            # save the one class of multiples that can pass, clear all, restore
+            kept = None
+            if d:
+                kept = _class_in_progression(start, m, q * pow(q, -1, d), q * d)
+            if kept:
+                ki, kstep = kept
+                saved = flags[ki::kstep]
+            i, step = multiples
+            flags[i::step] = bytes(len(range(i, size, step)))
+            if kept:
+                flags[ki::kstep] = saved
+        for n in compress(ns, flags):
+            if pow(a, n - 1, n) == 1:
+                masks[n] = masks.get(n, 0) | 1 << j
+    return sorted(masks.items())
 
 
 def _twin_pair_products(query: RangeQuery) -> list[int]:
@@ -443,18 +565,23 @@ def joint_census(
     """Count n that are jointly Gaussian pseudoprimes (rows) and classical
     pseudoprimes (columns) in the query range.
 
-    Classical pseudoprimes are collected first (one modular exponentiation
-    per prime dividing any column base); the Gaussian tests run only on
-    those survivors.
+    Classical pseudoprimes are collected first: per column base a, a sieve
+    on multiplicative orders and large prime factors rules out most
+    composites, and one modular exponentiation a^(n-1) mod n settles each
+    survivor.  The orders are computed once per query.  The Gaussian tests
+    run only on the classical pseudoprimes.  Integer bases must satisfy
+    2 <= a < 2**63.
     """
     gaussian_bases = tuple(gaussian_bases)
     integer_bases = tuple(integer_bases)
+    for a in integer_bases:
+        if not 2 <= a < MAX_ARG:
+            raise ValueError(f"integer bases need 2 <= a < 2**63, got {a}")
     counts = [[0] * len(integer_bases) for _ in gaussian_bases]
     if gaussian_bases and integer_bases:
-        base_decomp = tuple(factorize(a).factors for a in integer_bases)
-        prime_powers = tuple(sorted({p for d in base_decomp for p, _ in d}))
+        orders = _mask_orders(integer_bases, query.hi)
         tasks = [
-            (lo, hi, query.residue_filter, prime_powers, base_decomp)
+            (lo, hi, query.residue_filter, orders)
             for lo, hi in _blocks(query.lo, query.hi, block_size)
         ]
         parts = _run_blocks(_psp_mask_kernel, tasks, query.workers, progress)
@@ -514,7 +641,7 @@ def verify_external_list(
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            if not text.isdigit():
+            if not (text.isascii() and text.isdigit()):
                 malformed += 1
                 continue
             n = int(text)

@@ -19,6 +19,7 @@ from .census import (
     RangeQuery,
     VerificationReport,
     CLASSIFIER_NAMES,
+    available_cpus,
     joint_census,
     record_line,
     search_classifier,
@@ -45,7 +46,7 @@ def _default_workers() -> int:
                 return w
         except ValueError:
             pass
-    return os.cpu_count() or 1
+    return available_cpus()
 
 
 def _parse_filter(text: str) -> tuple[int, int]:

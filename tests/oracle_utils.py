@@ -88,6 +88,21 @@ def primes_below(limit):
     return [n for n in range(2, limit) if not flags[n]]
 
 
+def brute_psp_masks(lo, hi, bases, residue_filter=None):
+    """Ascending (n, mask) over composite n in [lo, hi) (after the residue
+    filter) that pass the Fermat test to at least one base; bit j of mask is
+    set when pow(bases[j], n - 1, n) == 1."""
+    m, r = residue_filter or (1, 0)
+    out = []
+    for n in range(lo, hi):
+        if n % m != r or trial_division_is_prime(n):
+            continue
+        mask = sum(1 << j for j, a in enumerate(bases) if pow(a, n - 1, n) == 1)
+        if mask:
+            out.append((n, mask))
+    return out
+
+
 def naive_script_F(n):
     if n % 4 == 1:
         return n - 1

@@ -1,8 +1,16 @@
 import logging
+import os
+from math import isqrt
 
 import pytest
-from oracle_utils import composite_sieve, twin_pair_products_below
+from oracle_utils import (
+    brute_psp_masks,
+    composite_sieve,
+    trial_division_is_prime,
+    twin_pair_products_below,
+)
 
+from gausspseudo import census
 from gausspseudo.census import (
     CLASSIFIER_NAMES,
     CensusTable,
@@ -205,6 +213,108 @@ class TestJointCensus:
         with pytest.raises(ValueError):
             CensusTable((Z12,), (2,), ((1, 2),), 100, None)
 
+    @pytest.mark.parametrize("a", [1, 0, -3, 1 << 63])
+    def test_integer_base_domain(self, a):
+        with pytest.raises(ValueError):
+            joint_census(RangeQuery(2, 100), (Z12,), (2, a))
+
+
+MASK_BASE_SETS = (
+    tuple(range(2, 12)),  # the published columns
+    (4, 8, 9),  # prime powers
+    (6, 10, 15),  # bases sharing primes
+)
+
+
+class TestPspMaskKernel:
+    """The order sieve against a brute-force Fermat mask."""
+
+    @staticmethod
+    def run_kernel(lo, hi, residue_filter, bases, block_size):
+        orders = census._mask_orders(bases, hi)
+        return [
+            pair
+            for blo, bhi in census._blocks(lo, hi, block_size)
+            for pair in census._psp_mask_kernel((blo, bhi, residue_filter, orders))
+        ]
+
+    def test_orders_against_brute(self):
+        hi = 2_000
+        primes = [p for p in range(2, isqrt(hi - 1) + 2) if trial_division_is_prime(p)]
+        for a, qs, ds in census._mask_orders((2, 3, 10, 12), hi):
+            expected = []
+            for p in primes:
+                if a % p == 0:
+                    expected.append((p, 0))
+                    continue
+                q = p
+                while q < hi:
+                    d = next(e for e in range(1, q) if pow(a, e, q) == 1)
+                    if d % p == 0:
+                        expected.append((q, 0))
+                        break
+                    if d > 1:
+                        expected.append((q, d))
+                    q *= p
+            assert list(zip(qs, ds)) == expected, a
+
+    @pytest.mark.parametrize("bases", MASK_BASE_SETS)
+    @pytest.mark.parametrize("residue_filter", [None, (4, 3), (8, 5)])
+    def test_blocks_from_2_against_brute(self, bases, residue_filter):
+        # sieve primes reach 141 and their squares 19881, all inside the range
+        got = self.run_kernel(2, 20_000, residue_filter, bases, 4096)
+        assert got == brute_psp_masks(2, 20_000, bases, residue_filter)
+
+    def test_single_base_against_brute(self):
+        for a in (2, 3, 11, 97):
+            assert self.run_kernel(2, 6_000, None, (a,), 1000) == brute_psp_masks(
+                2, 6_000, (a,)
+            )
+
+    def test_above_sieve_cutoff_against_brute(self):
+        # only part of the primes below sqrt(hi) sieve here
+        lo = census._SIEVE_CUTOFF + 1
+        bases = tuple(range(2, 12))
+        got = self.run_kernel(lo, lo + 2_000, None, bases, 1 << 20)
+        assert got == brute_psp_masks(lo, lo + 2_000, bases)
+
+
+class TestRunBlocks:
+    class StubPool:
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    @pytest.mark.parametrize("tasks, expected", [(10, 3), (2, 2)])
+    def test_pool_capped_at_available_cpus(self, monkeypatch, tasks, expected):
+        self.StubPool.sizes = []
+        monkeypatch.setattr(census, "ProcessPoolExecutor", self.StubPool)
+        monkeypatch.setattr(census, "available_cpus", lambda: 3)
+        out = census._run_blocks(abs, list(range(-tasks, 0)), 10**5)
+        assert out == list(range(tasks, 0, -1))
+        assert self.StubPool.sizes == [expected]
+
+    def test_single_cpu_runs_serially(self, monkeypatch):
+        self.StubPool.sizes = []
+        monkeypatch.setattr(census, "ProcessPoolExecutor", self.StubPool)
+        monkeypatch.setattr(census, "available_cpus", lambda: 1)
+        assert census._run_blocks(abs, [-1, -2], 10**5) == [1, 2]
+        assert self.StubPool.sizes == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+    def test_available_cpus_follows_affinity(self):
+        assert census.available_cpus() == len(os.sched_getaffinity(0))
+
 
 class TestIntersectionScan:
     def test_small_empty(self):
@@ -249,6 +359,15 @@ class TestVerifyExternalList:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             verify_external_list(tmp_path / "nope.txt", Z12)
+
+    def test_non_ascii_digits_are_malformed(self, tmp_path):
+        # superscript two, Arabic-Indic fifteen, fullwidth twelve
+        f = tmp_path / "list.txt"
+        f.write_text("\u00b2\n\u0661\u0665\n\uff11\uff12\n143\n", encoding="utf-8")
+        rep = verify_external_list(f, Z12)
+        assert rep.malformed_lines == 3
+        assert rep.total_read == 1
+        assert rep.passing == (143,)
 
 
 class TestSerialization:

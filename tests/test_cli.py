@@ -158,3 +158,10 @@ class TestWorkersDefault:
         assert _default_workers() == 3
         monkeypatch.setenv("GAUSSPSEUDO_WORKERS", "junk")
         assert _default_workers() >= 1
+
+    def test_default_is_available_cpus(self, monkeypatch):
+        from gausspseudo.census import available_cpus
+        from gausspseudo.cli import _default_workers
+
+        monkeypatch.delenv("GAUSSPSEUDO_WORKERS", raising=False)
+        assert _default_workers() == available_cpus()
