@@ -6,11 +6,17 @@ Ranges are split into fixed-size blocks scattered over worker processes,
 never more of them than the CPUs this process may run on; block results
 are merged in block order, so output is byte-identical for any worker
 count.  Primality inside a block comes from a segmented sieve below 2**32
-and deterministic Miller-Rabin above.  For the joint table, each block is
-sieved per integer base by multiplicative orders modulo small prime
-powers and by large prime factors, so the exact Fermat test runs on a few
-percent of the composites only.  All kernels are pure; a cancelled run
-simply never returns a partial result.
+and deterministic Miller-Rabin above; factorizations come from a batched
+division sieve below 2**32 and from per-n factorization above.
+
+Every search is a sieve followed by exact confirmation.  The joint table
+(per integer base a) and the Gaussian pseudoprime search (base z) sieve
+each block by multiplicative orders modulo small prime powers, of a and
+of z/conj(z), and by large prime factors; the exact test then runs on a
+few percent of the composites only.  The class searches decide each n
+from its factorization by the Korselt-style criteria, so no Gaussian
+exponentiation runs per candidate.  All kernels are pure; a cancelled
+run simply never returns a partial result.
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .arith import (
     MAX_ARG,
-    _gauss_lambda_pp,
-    _gauss_phi_pp,
     factorize,
+    gaussian_lambda_from_factors,
+    gaussian_phi_from_factors,
     is_prime,
     script_F,
 )
@@ -61,11 +67,6 @@ CLASSIFIER_NAMES = (
     "williams_1",
     "twin_pair_product",
 )
-
-# Gaussian bases, by ascending norm, used to prefilter Carmichael-type
-# searches: a G-Carmichael number passes the test for every valid base,
-# so failing any one of these proves the candidate out.
-_PREFILTER_BASES = ((1, 2, 5), (1, 4, 17), (1, 6, 37), (1, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,14 @@ def _run_blocks(kernel, tasks, workers: int, progress=None):
 # ---------------------------------------------------------------------------
 
 def _factor_batch(lo: int, hi: int):
-    """Factorizations of every n in [lo, hi) by a batched division sieve."""
+    """Factorizations of every n in [lo, hi).
+
+    Below the sieve cutoff a batched division sieve over the primes up to
+    sqrt(hi) does the work; above it that prime list would outgrow memory
+    (about 1.5 * 10**8 primes near 2**63), so each n is factored on its own.
+    """
+    if hi > _SIEVE_CUTOFF:
+        return [factorize(n).factors for n in range(lo, hi)]
     size = hi - lo
     rem = list(range(lo, hi))
     factors = [[] for _ in range(size)]
@@ -222,110 +230,158 @@ def _factor_batch(lo: int, hi: int):
 
 
 # ---------------------------------------------------------------------------
+# Order sieve over one arithmetic progression
+# ---------------------------------------------------------------------------
+
+def _class_in_progression(start: int, m: int, c: int, modulus: int):
+    """(first index, index step) of the terms of start, start+m, ... that are
+    = c (mod modulus), or None when the progression never meets that class."""
+    g = gcd(m, modulus)
+    if (c - start) % g:
+        return None
+    step = modulus // g
+    return (c - start) // g * pow(m // g, -1, step) % step, step
+
+
+_NOT = bytes([1]) + bytes(255)  # translate table: byte 0 -> 1, anything else -> 0
+
+
+def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearray:
+    """codes[i] for n = start + i*m in [lo, hi): 0 if n is prime, else the
+    least k in [2, kmax] with n/k prime, else 1."""
+    codes = _composite_flags(lo, hi)[start - lo :: m]
+    size = len(codes)
+    for k in range(kmax, 1, -1):  # descending, so the least k is written last
+        found = _class_in_progression(start, m, 0, k)
+        if found is None:
+            continue
+        i, step = found
+        p0, pstep = (start + i * m) // k, step * m // k
+        if p0 < 2:  # n = k itself: its cofactor 1 is no prime
+            i, p0 = i + step, p0 + pstep
+        count = len(range(i, size, step))
+        if count <= 0:
+            continue
+        prime = int.from_bytes(
+            _composite_flags(p0, p0 + (count - 1) * pstep + 1)[::pstep].translate(_NOT),
+            "little",
+        )
+        sub = int.from_bytes(codes[i::step], "little")
+        codes[i::step] = (sub & ~(prime * 255) | prime * k).to_bytes(count, "little")
+    return codes
+
+
+def _sieve_progression(flags: bytearray, start: int, m: int, bounds, qs, ds, c: int) -> None:
+    """Clear flags[i] for the n = start + i*m that cannot satisfy x^(n-c) = 1
+    (mod n), for a unit x given by its orders.
+
+    flags holds the codes of _cofactor_codes.  Two rules clear:
+
+    * large prime: for each (k, bound) in bounds, every n > bound coded k;
+    * order sieve: for each prime power q with d = ord_q(x) in (qs, ds), a
+      multiple of q can pass only if n = 0 (mod q) and n = c (mod d); d = 0
+      means no multiple of q passes.  One slice saves the class that may
+      pass, one clears all multiples of q, one restores the class.
+    """
+    for k, bound in bounds:
+        i = max(0, (bound - start) // m + 1)
+        kill = bytearray(range(256))
+        kill[k] = 0
+        flags[i:] = flags[i:].translate(kill)
+    size = len(flags)
+    for q, d in zip(qs, ds):
+        multiples = _class_in_progression(start, m, 0, q)
+        if multiples is None:
+            continue
+        kept = None
+        if d:
+            g = gcd(q, d)
+            if c % g == 0:
+                dg = d // g
+                if dg == 1:  # every multiple of q is in the class
+                    continue
+                kept = _class_in_progression(
+                    start, m, q * (c // g * pow(q // g, -1, dg) % dg), q * dg
+                )
+        if kept:
+            ki, kstep = kept
+            saved = flags[ki::kstep]
+        i, step = multiples
+        flags[i::step] = bytes(len(range(i, size, step)))
+        if kept:
+            flags[ki::kstep] = saved
+
+
+def _ratio_components(zre: int, zim: int, znorm: int, n: int) -> tuple[int, int]:
+    """z/conj(z) = z^2 / (z*conj(z)) mod n as raw components; needs gcd(n, znorm) = 1."""
+    inv = pow(znorm % n, -1, n)
+    return (zre * zre - zim * zim) * inv % n, 2 * zre * zim * inv % n
+
+
+# ---------------------------------------------------------------------------
 # Kernels (module level so they pickle for worker processes)
 # ---------------------------------------------------------------------------
 
-def _gfp_kernel(task):
-    lo, hi, residue_filter, zre, zim, znorm = task
-    flags = _composite_flags(lo, hi)
-    hits = []
-    for n in _filtered_range(lo, hi, residue_filter):
-        if not flags[n - lo]:
-            continue
-        if gcd(n, znorm) != 1:
-            continue
-        s = (zre * zre + zim * zim) % n
-        inv = pow(s, -1, n)
-        a, b = zre % n, zim % n
-        ra, rb = (a * a - b * b) * inv % n, 2 * a * b * inv % n
-        if _pow_components(ra, rb, script_F(n), n) == (1, 0):
-            hits.append(n)
-    return hits
+def _g_lehmer_multi(n: int, factors) -> bool:
+    # the published sequence; the two-factor members are twin_pair_product
+    return len(factors) >= 3 and _g_lehmer_from_factors(n, factors)
 
 
-def _gaussian_prefilter_passes(n: int) -> bool:
-    """True unless some valid prefilter base already refutes n."""
-    for zre, zim, znorm in _PREFILTER_BASES:
-        if gcd(n, znorm) == 1:
-            s = znorm % n
-            inv = pow(s, -1, n)
-            ra, rb = (zre * zre - zim * zim) * inv % n, 2 * zre * zim * inv % n
-            return _pow_components(ra, rb, script_F(n), n) == (1, 0)
-    return True  # no valid base in the chain: decide exactly later
+def _g_cyclic(n: int, factors) -> bool:
+    return gcd(gaussian_phi_from_factors(factors), n) == 1
 
 
-def _carmichael_type_kernel(task):
-    """Prefiltered scan for g_carmichael / g_lehmer / carmichael / williams_1."""
-    lo, hi, residue_filter, which = task
-    flags = _composite_flags(lo, hi)
-    hits = []
-    for n in _filtered_range(lo, hi, residue_filter):
-        if not flags[n - lo]:
-            continue
-        if which in ("carmichael", "williams_1"):
-            # both imply odd 2-pseudoprime
-            if n % 2 == 0 or pow(2, n - 1, n) != 1:
-                continue
-            fac = factorize(n).factors
-            ok = (
-                _carmichael_from_factors(n, fac)
-                if which == "carmichael"
-                else _r_williams_from_factors(n, fac, 1)
-            )
-        else:
-            # G-Carmichael numbers pass every valid Gaussian base
-            if not _gaussian_prefilter_passes(n):
-                continue
-            fac = factorize(n).factors
-            if which == "g_carmichael":
-                ok = _g_carmichael_from_factors(n, fac)
-            else:  # g_lehmer: the multi-factor sequence; pairs live under twin_pair_product
-                ok = len(fac) >= 3 and _g_lehmer_from_factors(n, fac)
-        if ok:
-            hits.append(n)
-    return hits
+def _congruence_exception(n: int, factors) -> bool:
+    P = gaussian_phi_from_factors(factors)
+    if gcd(P, n) != 1:
+        return False
+    L = gaussian_lambda_from_factors(factors)
+    return pow(P % n, P, n) != 1 % n and pow(L % n, L, n) != 1 % n
+
+
+# classifier name -> predicate(n, factors), for the scans over every factorization
+_FACTORED_PREDICATES = {
+    "g_carmichael": _g_carmichael_from_factors,
+    "g_lehmer": _g_lehmer_multi,
+    "g_cyclic": _g_cyclic,
+    "congruence_exception": _congruence_exception,
+    "giuga": _giuga_from_factors,
+}
 
 
 def _factored_kernel(task):
-    """Exact scan for classifiers that need the factorization of every n."""
+    """Exact scan for classifiers decided by the factorization of every n."""
     lo, hi, residue_filter, which = task
+    predicate = _FACTORED_PREDICATES[which]
     hits = []
     for blo in range(lo, hi, _FACTOR_BATCH):
         bhi = min(blo + _FACTOR_BATCH, hi)
         factors = _factor_batch(blo, bhi)
         for n in _filtered_range(blo, bhi, residue_filter):
-            fac = factors[n - blo]
-            if which == "g_cyclic":
-                ok = gcd(_phi_of(fac), n) == 1
-            elif which == "congruence_exception":
-                P = _phi_of(fac)
-                if gcd(P, n) != 1:
-                    ok = False
-                else:
-                    L = _lambda_of(fac)
-                    ok = (
-                        pow(P % n, P, n) != 1 % n
-                        and pow(L % n, L, n) != 1 % n
-                    )
-            else:  # giuga
-                ok = _giuga_from_factors(n, fac)
-            if ok:
+            if predicate(n, factors[n - blo]):
                 hits.append(n)
     return hits
 
 
-def _phi_of(factors) -> int:
-    r = 1
-    for p, k in factors:
-        r *= _gauss_phi_pp(p, k)
-    return r
-
-
-def _lambda_of(factors) -> int:
-    r = 1
-    for p, k in factors:
-        r = lcm(r, _gauss_lambda_pp(p, k))
-    return r
+def _carmichael_type_kernel(task):
+    """Prefiltered scan for carmichael / williams_1: both imply an odd
+    base-2 Fermat pseudoprime, so one pow rules out nearly every n before
+    it is factored."""
+    lo, hi, residue_filter, which = task
+    flags = _composite_flags(lo, hi)
+    hits = []
+    for n in _filtered_range(lo, hi, residue_filter):
+        if not flags[n - lo] or n % 2 == 0 or pow(2, n - 1, n) != 1:
+            continue
+        fac = factorize(n).factors
+        ok = (
+            _carmichael_from_factors(n, fac)
+            if which == "carmichael"
+            else _r_williams_from_factors(n, fac, 1)
+        )
+        if ok:
+            hits.append(n)
+    return hits
 
 
 def _intersection_kernel(task):
@@ -348,16 +404,6 @@ def _intersection_kernel(task):
         if carmichael_and_g_carmichael_3mod4(n):
             hits.append(n)
     return hits
-
-
-def _class_in_progression(start: int, m: int, c: int, modulus: int):
-    """(first index, index step) of the terms of start, start+m, ... that are
-    = c (mod modulus), or None when the progression never meets that class."""
-    g = gcd(m, modulus)
-    if (c - start) % g:
-        return None
-    step = modulus // g
-    return (c - start) // g * pow(m // g, -1, step) % step, step
 
 
 def _mask_orders(integer_bases, hi: int):
@@ -398,34 +444,6 @@ def _mask_orders(integer_bases, hi: int):
     return out
 
 
-_NOT = bytes([1]) + bytes(255)  # translate table: byte 0 -> 1, anything else -> 0
-
-
-def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearray:
-    """codes[i] for n = start + i*m in [lo, hi): 0 if n is prime, else the
-    least k in [2, kmax] with n/k prime, else 1."""
-    codes = _composite_flags(lo, hi)[start - lo :: m]
-    size = len(codes)
-    for k in range(kmax, 1, -1):  # descending, so the least k is written last
-        found = _class_in_progression(start, m, 0, k)
-        if found is None:
-            continue
-        i, step = found
-        p0, pstep = (start + i * m) // k, step * m // k
-        if p0 < 2:  # n = k itself: its cofactor 1 is no prime
-            i, p0 = i + step, p0 + pstep
-        count = len(range(i, size, step))
-        if count <= 0:
-            continue
-        prime = int.from_bytes(
-            _composite_flags(p0, p0 + (count - 1) * pstep + 1)[::pstep].translate(_NOT),
-            "little",
-        )
-        sub = int.from_bytes(codes[i::step], "little")
-        codes[i::step] = (sub & ~(prime * 255) | prime * k).to_bytes(count, "little")
-    return codes
-
-
 def _psp_mask_kernel(task):
     """Composite n (after filter) with their classical-pseudoprime base mask.
 
@@ -443,7 +461,6 @@ def _psp_mask_kernel(task):
     m, r = residue_filter or (1, 0)
     start = lo + (r - lo) % m
     ns = range(start, hi, m)
-    size = len(ns)
     amin = min(a for a, _, _ in base_orders)
     # the large-prime rule can act on k <= kmax for some base; it needs the
     # primality of n/k, which the segmented sieve gives below the cutoff
@@ -453,34 +470,126 @@ def _psp_mask_kernel(task):
     codes = _cofactor_codes(lo, hi, m, start, kmax)
     masks = {}
     for j, (a, qs, ds) in enumerate(base_orders):
-        flags = bytearray(codes)
+        bounds = []
         for k in range(2, kmax + 1):
             bound = k * (a ** (k - 1) - 1)  # n = kP > bound has P > a^(k-1) - 1
             if bound >= hi:
                 break
-            i = max(0, (bound - start) // m + 1)
-            kill = bytearray(range(256))
-            kill[k] = 0
-            flags[i:] = flags[i:].translate(kill)
-        for q, d in zip(qs, ds):
-            multiples = _class_in_progression(start, m, 0, q)
-            if multiples is None:
-                continue
-            # save the one class of multiples that can pass, clear all, restore
-            kept = None
-            if d:
-                kept = _class_in_progression(start, m, q * pow(q, -1, d), q * d)
-            if kept:
-                ki, kstep = kept
-                saved = flags[ki::kstep]
-            i, step = multiples
-            flags[i::step] = bytes(len(range(i, size, step)))
-            if kept:
-                flags[ki::kstep] = saved
+            bounds.append((k, bound))
+        flags = bytearray(codes)
+        _sieve_progression(flags, start, m, bounds, qs, ds, 1)
         for n in compress(ns, flags):
             if pow(a, n - 1, n) == 1:
                 masks[n] = masks.get(n, 0) | 1 << j
     return sorted(masks.items())
+
+
+def _joint_kernel(task):
+    """One block of the joint table: counts[i][j] of the composites that
+    pass Gaussian base i and integer base j.  The Gaussian tests run on the
+    classical pseudoprimes of _psp_mask_kernel only."""
+    lo, hi, residue_filter, base_orders, gaussian_bases = task
+    counts = [[0] * len(base_orders) for _ in gaussian_bases]
+    for n, mask in _psp_mask_kernel((lo, hi, residue_filter, base_orders)):
+        columns = [j for j in range(len(base_orders)) if mask >> j & 1]
+        for row, z in zip(counts, gaussian_bases):
+            if gaussian_fermat_ratio_test(n, z) is TestOutcome.PASS:
+                for j in columns:
+                    row[j] += 1
+    return counts
+
+
+def _gfp_orders(z: GaussianBase, lo: int, hi: int):
+    """Two int64 arrays (qs, ds) over prime powers q < hi whose prime is a
+    sieve prime: d = ord_q(z/conj(z)), or d = 0 when the prime divides
+    z*conj(z), which makes every multiple of it an invalid modulus for z.
+    Pairs with d = 1 carry no condition and are left out.
+
+    Sieve primes are those up to sqrt(min(hi, 2**32)), as in _mask_orders,
+    and up to hi - lo: a larger prime has at most one multiple in [lo, hi)
+    and would cost more to order than the test it saves.
+    """
+    znorm = z.norm()
+    qs, ds = array("q"), array("q")
+    for p in _base_primes(min(isqrt(min(hi, _SIEVE_CUTOFF) - 1) + 1, hi - lo)):
+        if znorm % p == 0:
+            qs.append(p)
+            ds.append(0)
+            continue
+        d = script_F(p)  # the order of the norm-one group mod p
+        ra, rb = _ratio_components(z.re, z.im, znorm, p)
+        for f, _ in factorize(d).factors:
+            while d % f == 0 and _pow_components(ra, rb, d // f, p) == (1, 0):
+                d //= f
+        q = p
+        while q < hi:
+            ra, rb = _ratio_components(z.re, z.im, znorm, q)
+            while _pow_components(ra, rb, d, q) != (1, 0):  # ord_p times a power of p
+                d *= p
+            if d > 1:
+                qs.append(q)
+                ds.append(d)
+            q *= p
+    return qs, ds
+
+
+def _gfp_large_prime_bounds(z: GaussianBase, hi: int) -> tuple:
+    """Pairs (k, bound) such that n = kP > bound with P prime fails base z.
+
+    With w = z/conj(z) and e = (-1/P), w^P = w^e (mod P).  Since n mod 4
+    fixes e once k is odd, and F(n) = n when k is even, this gives w^F(n) =
+    w^(+-F(k)) (mod P), which is 1 only if P divides Im(z^F(k)).  A prime P
+    above |Im(z^F(k))| and above 2 never does when Im(z^F(k)) is nonzero.
+    It is zero for every odd k when z/conj(z) is a root of unity (real or
+    imaginary z, 1+1i, 2+2i), which leaves those k without a rule.
+    """
+    ims = [0]
+    a, b = 1, 0
+    for _ in range(256):
+        a, b = a * z.re - b * z.im, a * z.im + b * z.re
+        ims.append(b)
+    rules = []
+    for k in range(2, 255):  # codes are bytes
+        im = ims[script_F(k)]
+        bound = k * max(2, abs(im))
+        if im and bound < hi:
+            rules.append((k, bound))
+    return tuple(rules)
+
+
+def _gfp_kernel(task):
+    """Gaussian Fermat pseudoprimes to base z in one block, ascending.
+
+    The block (after the residue filter) is split into progressions of
+    fixed n mod 4, where F(n) = n - c with c = 1, -1 or 0.  In each, the
+    order sieve of z/conj(z) and the large-prime rule of
+    _gfp_large_prime_bounds rule out most composites; the survivors are
+    confirmed by the exact ratio test (z/conj(z))^F(n) = 1 (mod n).
+    """
+    lo, hi, residue_filter, z, qs, ds, large_prime_bounds = task
+    znorm = z.norm()
+    m, r = residue_filter or (1, 0)
+    bounds = ()
+    if hi <= _SIEVE_CUTOFF:  # the codes need the segmented sieve
+        bounds = [(k, bound) for k, bound in large_prime_bounds if bound < hi]
+    kmax = max((k for k, _ in bounds), default=1)
+    hits = []
+    for t, c in enumerate((0, 1, 0, -1)):
+        found = _class_in_progression(r, m, t, 4)
+        if found is None:
+            continue
+        i, step = found
+        mt = m * step
+        start = lo + (r + i * m - lo) % mt
+        flags = _cofactor_codes(lo, hi, mt, start, kmax)
+        _sieve_progression(flags, start, mt, bounds, qs, ds, c)
+        for n in compress(range(start, hi, mt), flags):
+            if gcd(n, znorm) == 1:
+                ra, rb = _ratio_components(z.re, z.im, znorm, n)
+                if _pow_components(ra, rb, script_F(n), n) == (1, 0):
+                    hits.append(n)
+    hits.sort()
+    return hits
 
 
 def _twin_pair_products(query: RangeQuery) -> list[int]:
@@ -514,9 +623,18 @@ def search_gfp(
     block_size: int = DEFAULT_BLOCK_SIZE,
     progress=None,
 ) -> list[int]:
-    """Ascending Gaussian Fermat pseudoprimes to base z in the query range."""
+    """Ascending Gaussian Fermat pseudoprimes to base z in the query range.
+
+    A sieve rules out most composites first: per prime power q, the order
+    of z/conj(z) modulo q, computed once per query, must divide F(n) for
+    every multiple n of q, and n = kP with a large prime P fails when P
+    exceeds |Im(z^F(k))| > 0.  The survivors are confirmed by the exact
+    ratio test.
+    """
+    qs, ds = _gfp_orders(z, query.lo, query.hi)
+    bounds = _gfp_large_prime_bounds(z, query.hi)
     tasks = [
-        (lo, hi, query.residue_filter, z.re, z.im, z.norm())
+        (lo, hi, query.residue_filter, z, qs, ds, bounds)
         for lo, hi in _blocks(query.lo, query.hi, block_size)
     ]
     parts = _run_blocks(_gfp_kernel, tasks, query.workers, progress)
@@ -537,6 +655,11 @@ def search_classifier(
     published sequence); the two-factor members are exactly the
     'twin_pair_product' family.  'congruence_exception' means G-cyclic
     numbers failing both power congruences.
+
+    'carmichael' and 'williams_1' sieve by one base-2 Fermat test and
+    confirm the few survivors from their factorization.  Every other class
+    is decided exactly from the factorization of each n in the range,
+    which a batched division sieve provides.
     """
     if which not in CLASSIFIER_NAMES:
         raise ValueError(f"unknown classifier {which!r}; choose from {CLASSIFIER_NAMES}")
@@ -545,7 +668,7 @@ def search_classifier(
     if which == "giuga" and query.hi - 1 > giuga_cap:
         raise ValueError(f"giuga cap exceeded: {query.hi - 1} > {giuga_cap}")
     blocks = _blocks(query.lo, query.hi, block_size)
-    if which in ("g_carmichael", "g_lehmer", "carmichael", "williams_1"):
+    if which in ("carmichael", "williams_1"):
         kernel = _carmichael_type_kernel
     else:
         kernel = _factored_kernel
@@ -569,8 +692,8 @@ def joint_census(
     on multiplicative orders and large prime factors rules out most
     composites, and one modular exponentiation a^(n-1) mod n settles each
     survivor.  The orders are computed once per query.  The Gaussian tests
-    run only on the classical pseudoprimes.  Integer bases must satisfy
-    2 <= a < 2**63.
+    run only on the classical pseudoprimes, in the block's worker.  Integer
+    bases must satisfy 2 <= a < 2**63.
     """
     gaussian_bases = tuple(gaussian_bases)
     integer_bases = tuple(integer_bases)
@@ -581,18 +704,13 @@ def joint_census(
     if gaussian_bases and integer_bases:
         orders = _mask_orders(integer_bases, query.hi)
         tasks = [
-            (lo, hi, query.residue_filter, orders)
+            (lo, hi, query.residue_filter, orders, gaussian_bases)
             for lo, hi in _blocks(query.lo, query.hi, block_size)
         ]
-        parts = _run_blocks(_psp_mask_kernel, tasks, query.workers, progress)
-        for part in parts:
-            for n, mask in part:
-                for i, z in enumerate(gaussian_bases):
-                    if gaussian_fermat_ratio_test(n, z) is TestOutcome.PASS:
-                        row = counts[i]
-                        for j in range(len(integer_bases)):
-                            if mask >> j & 1:
-                                row[j] += 1
+        for part in _run_blocks(_joint_kernel, tasks, query.workers, progress):
+            for row, part_row in zip(counts, part):
+                for j, c in enumerate(part_row):
+                    row[j] += c
     return CensusTable(
         gaussian_bases=gaussian_bases,
         integer_bases=integer_bases,

@@ -6,6 +6,7 @@ import pytest
 from oracle_utils import (
     brute_psp_masks,
     composite_sieve,
+    gpow,
     trial_division_is_prime,
     twin_pair_products_below,
 )
@@ -36,7 +37,13 @@ from gausspseudo.classify import (
     phi_power_congruence,
 )
 from gausspseudo.arith import factorize
-from gausspseudo.fermat import is_fermat_psp, is_gfp
+from gausspseudo.fermat import (
+    BASE_PANEL,
+    TestOutcome,
+    gaussian_fermat_im_test,
+    is_fermat_psp,
+    is_gfp,
+)
 from gausspseudo.residues import GaussianBase
 
 Z12 = GaussianBase(1, 2)
@@ -117,13 +124,57 @@ class TestSearchGfp:
 
     def test_above_sieve_cutoff_uses_miller_rabin(self):
         # blocks beyond 2^32 switch from the segmented sieve to per-candidate
-        # deterministic Miller-Rabin
+        # deterministic Miller-Rabin, and the large-prime rule is off
         lo, hi = (1 << 32) + 1, (1 << 32) + 600
-        got = search_gfp(RangeQuery(lo, hi), Z12)
         from gausspseudo.arith import is_prime
 
-        expected = [n for n in range(lo, hi) if not is_prime(n) and is_gfp(n, Z12)]
-        assert got == expected
+        for z in SIEVE_BASES:
+            got = search_gfp(RangeQuery(lo, hi), z)
+            expected = [n for n in range(lo, hi) if not is_prime(n) and is_gfp(n, z)]
+            assert got == expected, str(z)
+
+
+# the panel plus a real base and a second base whose ratio is a root of unity
+SIEVE_BASES = BASE_PANEL + (GaussianBase(3, 0), GaussianBase(2, 2))
+SIEVE_LIMIT = 20_000
+
+
+class TestGfpSieve:
+    """The order sieve of search_gfp against both exact forms of the test."""
+
+    @pytest.mark.parametrize("z", SIEVE_BASES, ids=str)
+    def test_blocks_from_2_against_both_forms(self, z):
+        flags = composite_sieve(SIEVE_LIMIT)
+        composites = [n for n in range(2, SIEVE_LIMIT) if flags[n]]
+        ratio_form = [n for n in composites if is_gfp(n, z)]
+        im_form = [
+            n for n in composites if gaussian_fermat_im_test(n, z) is TestOutcome.PASS
+        ]
+        assert ratio_form == im_form
+        for residue_filter in (None, (4, 1), (4, 3), (3, 2), (8, 5)):
+            m, r = residue_filter or (1, 0)
+            # blocks of 1000 start at every residue mod 4 and 8
+            got = search_gfp(RangeQuery(2, SIEVE_LIMIT, residue_filter), z, block_size=1000)
+            assert got == [n for n in ratio_form if n % m == r], residue_filter
+
+    @pytest.mark.parametrize("z", SIEVE_BASES, ids=str)
+    def test_orders_against_linear_scan(self, z):
+        # w = z/conj(z) has w^e = 1 (mod q) iff q | 2*Im(z^e), for p not dividing the norm
+        hi = 2_000
+        primes = [p for p in range(2, isqrt(hi - 1) + 2) if trial_division_is_prime(p)]
+        expected = []
+        for p in primes:
+            if z.norm() % p == 0:
+                expected.append((p, 0))
+                continue
+            q = p
+            while q < hi:
+                d = next(e for e in range(1, 2 * q) if 2 * gpow(z.re, z.im, e, q)[1] % q == 0)
+                if d > 1:
+                    expected.append((q, d))
+                q *= p
+        qs, ds = census._gfp_orders(z, 2, hi)
+        assert list(zip(qs, ds)) == expected
 
 
 class TestSearchClassifier:
@@ -158,6 +209,20 @@ class TestSearchClassifier:
     def test_residue_filter(self, which):
         got = search_classifier(RangeQuery(2, 2_000, (4, 3)), which)
         assert got == naive_classifier_scan(2, 2_000, which, (4, 3))
+
+    @pytest.mark.parametrize("which", ["g_carmichael", "g_cyclic"])
+    @pytest.mark.parametrize("lo, hi", [(census._SIEVE_CUTOFF - 200, census._SIEVE_CUTOFF + 300), ((1 << 62) - 3, (1 << 62) + 3)])
+    def test_high_windows_factor_per_n(self, monkeypatch, which, lo, hi):
+        # above the cutoff the factor sieve would need every prime up to sqrt(hi)
+        real = census._base_primes
+
+        def bounded(limit):
+            assert limit <= isqrt(census._SIEVE_CUTOFF) + 1, limit
+            return real(limit)
+
+        monkeypatch.setattr(census, "_base_primes", bounded)
+        got = search_classifier(RangeQuery(lo, hi), which, block_size=200)
+        assert got == naive_classifier_scan(lo, hi, which)
 
 
 class TestDeterminism:
