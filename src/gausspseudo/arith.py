@@ -1,8 +1,9 @@
 """Integer plumbing and the arithmetic functions of the norm-one group.
 
 Provides deterministic 64-bit primality testing, reproducible
-factorization (trial division + Brent's cycle variant of Pollard rho
-with a fixed parameter sequence), the group-size function gaussian_phi,
+factorization (a short wheel of trial division below 2**10, then Brent's
+cycle variant of Pollard rho with a fixed parameter sequence on every
+cofactor), the group-size function gaussian_phi,
 the group-exponent function gaussian_lambda, their classical
 counterparts, and the cyclic decomposition of the group at prime powers.
 """
@@ -21,7 +22,10 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_DIVISION_BOUND = 1_000_000
+# Trial division only strips the small primes: a cofactor with no prime
+# factor below the bound goes to rho, which splits it in about sqrt(p)
+# steps, where a longer wheel would cost about p/4 loop iterations.
+_TRIAL_DIVISION_BOUND = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -120,7 +124,14 @@ def _rho_factor(n: int) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> Factorization:
-    """Factor 2 <= n < 2**63 into prime powers."""
+    """Factor 2 <= n < 2**63 into prime powers.
+
+    A wheel over the numbers coprime to 30 strips the primes below 2**10;
+    each remaining cofactor is a prime (Miller-Rabin), a perfect square,
+    or is split by Brent rho with the fixed c = 1, 2, ... sequence.  The
+    primes come out sorted, so the result does not depend on the order
+    in which the cofactors were split.
+    """
     if not 2 <= n < MAX_ARG:
         raise ValueError(f"factorization domain is 2 <= n < 2**63, got {n}")
     original = n
@@ -289,29 +300,3 @@ def group_structure(n: int) -> GroupDescriptor:
     return GroupDescriptor(
         orders_t, prod(orders_t), _reduce(lcm, orders_t, 1)
     )
-
-
-def smallest_prime_factor_sieve(limit: int) -> list[int]:
-    """spf[i] = least prime factor of i for 0 <= i < limit (0 for i < 2)."""
-    spf = list(range(limit))
-    if limit > 1:
-        spf[1] = 0
-    for i in range(2, isqrt(limit - 1) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
-
-
-def factors_from_spf(n: int, spf: list[int]) -> tuple[tuple[int, int], ...]:
-    """Factor n using a precomputed smallest-prime-factor table."""
-    out = []
-    while n > 1:
-        p = spf[n]
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        out.append((p, k))
-    return tuple(out)

@@ -406,17 +406,18 @@ def _intersection_kernel(task):
     return hits
 
 
-def _mask_orders(integer_bases, hi: int):
+def _mask_orders(integer_bases, lo: int, hi: int):
     """Per integer base a: (a, qs, ds), two int64 arrays over prime powers
     q < hi whose prime is a sieve prime, where d = ord_q(a), or d = 0 when
     no multiple of q can pass base a (the prime divides a or d).  Pairs with
     d = 1 carry no condition and are left out.  Arrays keep the task that
     carries them to every block small.
 
-    Only primes up to sqrt(min(hi, 2**32)) are used, which is sound at any
-    height: the sieve merely rules out fewer candidates.
+    Sieve primes are those up to sqrt(min(hi, 2**32)) and up to hi - lo, as
+    in _gfp_orders.  Fewer primes are sound at any height: the sieve merely
+    rules out fewer candidates.
     """
-    primes = _base_primes(isqrt(min(hi, _SIEVE_CUTOFF) - 1) + 1)
+    primes = _base_primes(min(isqrt(min(hi, _SIEVE_CUTOFF) - 1) + 1, hi - lo))
     out = tuple((a, array("q"), array("q")) for a in integer_bases)
     for p in primes:
         p1_factors = [f for f, _ in factorize(p - 1).factors] if p > 2 else []
@@ -505,9 +506,9 @@ def _gfp_orders(z: GaussianBase, lo: int, hi: int):
     z*conj(z), which makes every multiple of it an invalid modulus for z.
     Pairs with d = 1 carry no condition and are left out.
 
-    Sieve primes are those up to sqrt(min(hi, 2**32)), as in _mask_orders,
-    and up to hi - lo: a larger prime has at most one multiple in [lo, hi)
-    and would cost more to order than the test it saves.
+    Sieve primes are those up to sqrt(min(hi, 2**32)) and up to hi - lo: a
+    larger prime has at most one multiple in [lo, hi) and would cost more
+    to order than the test it saves.
     """
     znorm = z.norm()
     qs, ds = array("q"), array("q")
@@ -702,7 +703,7 @@ def joint_census(
             raise ValueError(f"integer bases need 2 <= a < 2**63, got {a}")
     counts = [[0] * len(integer_bases) for _ in gaussian_bases]
     if gaussian_bases and integer_bases:
-        orders = _mask_orders(integer_bases, query.hi)
+        orders = _mask_orders(integer_bases, query.lo, query.hi)
         tasks = [
             (lo, hi, query.residue_filter, orders, gaussian_bases)
             for lo, hi in _blocks(query.lo, query.hi, block_size)
@@ -739,6 +740,25 @@ def carmichael_intersection_scan(
     return [n for part in parts for n in part]
 
 
+# A longer line is read in pieces and counted as malformed, so one huge line
+# cannot take the memory of the whole file.
+_LINE_CAP = 1 << 12
+# No decimal with more significant digits than 2**63 - 1 is in the domain.
+_MAX_DIGITS = len(str(MAX_ARG - 1))
+
+
+def _capped_lines(fh):
+    """Yield (text, whole) per line of fh: the line itself with whole True,
+    or its first _LINE_CAP + 1 characters with whole False for a longer
+    line, whose rest is read in pieces and dropped."""
+    while line := fh.readline(_LINE_CAP + 1):
+        whole = len(line) <= _LINE_CAP or line.endswith("\n")
+        head = line
+        while not line.endswith("\n") and (line := fh.readline(_LINE_CAP)):
+            pass
+        yield head, whole
+
+
 def verify_external_list(
     path,
     z: GaussianBase,
@@ -748,21 +768,23 @@ def verify_external_list(
 
     The file holds one ASCII decimal integer per line; '#' lines are
     comments, blank lines are skipped, anything else unparsable counts as
-    malformed.  Entries passing the test are returned (for a published
-    Fermat-pseudoprime list they are the interesting finds); entries whose
-    gcd with z*conj(z) exceeds 1 are tallied as invalid-base.
+    malformed, as does any other line longer than 4096 characters.  Entries
+    passing the test are returned (for a published Fermat-pseudoprime list
+    they are the interesting finds); entries whose gcd with z*conj(z)
+    exceeds 1 are tallied as invalid-base.
     """
     total_read = filtered = invalid = malformed = 0
     passing = []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line in fh:
+        for line, whole in _capped_lines(fh):
             text = line.strip()
-            if not text or text.startswith("#"):
+            if text.startswith("#") or (whole and not text):
                 continue
-            if not (text.isascii() and text.isdigit()):
+            digits = text.lstrip("0")
+            if not (whole and text.isascii() and text.isdigit() and len(digits) <= _MAX_DIGITS):
                 malformed += 1
                 continue
-            n = int(text)
+            n = int(digits or "0")
             if not 2 <= n < MAX_ARG:
                 malformed += 1
                 continue

@@ -14,6 +14,8 @@ import re as _regex
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import factorize
+
 MAX_MODULUS = 1 << 63
 COMPONENT_CAP = 1 << 31
 MAX_EXPONENT = (1 << 64) - 1
@@ -170,23 +172,6 @@ def unit_ratio(z: GaussianBase, n: int) -> GaussianResidue:
     return w * w.conj().inverse()
 
 
-def _factor_small(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization, adequate for enumeration-sized n."""
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            factors.append((d, k))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return factors
-
-
 def _group_elements_prime_power(p: int, k: int) -> list[tuple[int, int]]:
     """All (a, b) with a^2+b^2 = 1 mod p^k, via a table of squares mod p^k."""
     m = p**k
@@ -227,7 +212,7 @@ def enumerate_group(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Gaussian
     else:
         pairs = None
         modulus = 1
-        for p, k in _factor_small(n):
+        for p, k in factorize(n).factors:
             part = _group_elements_prime_power(p, k)
             if pairs is None:
                 pairs, modulus = part, p**k

@@ -52,6 +52,32 @@ def trial_division_factorize(n):
     return out
 
 
+def smallest_prime_factor_sieve(limit):
+    """spf[i] = least prime factor of i for 0 <= i < limit (0 for i < 2)."""
+    spf = list(range(limit))
+    if limit > 1:
+        spf[1] = 0
+    for i in range(2, isqrt(limit - 1) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+def factors_from_spf(n, spf):
+    """Factor n with a smallest-prime-factor table, as ((p, k), ...)."""
+    out = []
+    while n > 1:
+        p = spf[n]
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        out.append((p, k))
+    return tuple(out)
+
+
 def _small_factor_multiset(n):
     fac = {}
     for p, k in trial_division_factorize(n):

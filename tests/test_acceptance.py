@@ -15,21 +15,21 @@ import pytest
 from oracle_utils import (
     composite_sieve,
     element_order,
+    factors_from_spf,
     gpow,
     primes_below,
+    smallest_prime_factor_sieve,
     twin_pair_products_below,
 )
 
 from gausspseudo.arith import (
     factorize,
-    factors_from_spf,
     gaussian_lambda,
     gaussian_lambda_from_factors,
     gaussian_phi,
     gaussian_phi_from_factors,
     group_structure,
     script_F,
-    smallest_prime_factor_sieve,
 )
 from gausspseudo.census import (
     RangeQuery,

@@ -1,14 +1,19 @@
 import random
+from collections import Counter
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_utils import (
     brute_group,
     brute_max_order,
     classical_lambda_brute,
     classical_phi_brute,
     element_order,
+    factors_from_spf,
     primes_below,
+    smallest_prime_factor_sieve,
     trial_division_factorize,
     trial_division_is_prime,
 )
@@ -19,13 +24,11 @@ from gausspseudo.arith import (
     classical_lambda,
     classical_phi,
     factorize,
-    factors_from_spf,
     gaussian_lambda,
     gaussian_phi,
     group_structure,
     is_prime,
     script_F,
-    smallest_prime_factor_sieve,
 )
 
 
@@ -89,6 +92,58 @@ class TestFactorize:
         assert fac.omega == 3
         assert not fac.is_squarefree
         assert factorize(30).is_squarefree
+
+
+def prime_from(n):
+    """The least prime >= n, by the trial-division oracle."""
+    while not trial_division_is_prime(n):
+        n += 1
+    return n
+
+
+# primes just above factorize's trial-division bound (2**10) and above the
+# 10**6 bound it had before, where rho must split what the wheel leaves
+NEAR_BOUNDS = st.sampled_from((1 << 10, 10**6)).flatmap(
+    lambda b: st.integers(b, b + 3_000)
+)
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestFactorizeProperties:
+    """factorize against factors known by construction."""
+
+    @PROPERTY_SETTINGS
+    @given(NEAR_BOUNDS)
+    def test_prime_squares(self, start):
+        p = prime_from(start)
+        assert factorize(p * p).factors == ((p, 2),)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(NEAR_BOUNDS, st.integers(10**6, (1 << 21) - 1_000)))
+    def test_prime_cubes(self, start):
+        p = prime_from(start)
+        assert factorize(p**3).factors == ((p, 3),)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1 << 10, 6_000))
+    def test_prime_fifth_powers(self, start):
+        p = prime_from(start)
+        assert factorize(p**5).factors == ((p, 5),)
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(NEAR_BOUNDS, min_size=2, max_size=3))
+    def test_products_of_primes(self, starts):
+        primes = [prime_from(s) for s in starts]
+        expected = tuple(sorted(Counter(primes).items()))
+        assert factorize(prod(primes)).factors == expected
+
+    @PROPERTY_SETTINGS
+    @given(NEAR_BOUNDS, st.floats(0.5, 1.0))
+    def test_square_times_large_prime(self, start, share):
+        p = prime_from(start)
+        limit = min(1 << 34, ((1 << 63) - 1) // (p * p))
+        q = prime_from(max(p + 1, int(limit * share) - 2_000))
+        assert factorize(p * p * q).factors == ((p, 2), (q, 1))
 
 
 class TestBeta:

@@ -1,5 +1,6 @@
 import logging
 import os
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -211,7 +212,15 @@ class TestSearchClassifier:
         assert got == naive_classifier_scan(2, 2_000, which, (4, 3))
 
     @pytest.mark.parametrize("which", ["g_carmichael", "g_cyclic"])
-    @pytest.mark.parametrize("lo, hi", [(census._SIEVE_CUTOFF - 200, census._SIEVE_CUTOFF + 300), ((1 << 62) - 3, (1 << 62) + 3)])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (census._SIEVE_CUTOFF - 200, census._SIEVE_CUTOFF + 300),
+            ((1 << 62) - 3, (1 << 62) + 3),
+            # most of these have a prime factor in (2**10, 10**6) for rho to find
+            ((1 << 62) + (1 << 20), (1 << 62) + (1 << 20) + 256),
+        ],
+    )
     def test_high_windows_factor_per_n(self, monkeypatch, which, lo, hi):
         # above the cutoff the factor sieve would need every prime up to sqrt(hi)
         real = census._base_primes
@@ -296,7 +305,7 @@ class TestPspMaskKernel:
 
     @staticmethod
     def run_kernel(lo, hi, residue_filter, bases, block_size):
-        orders = census._mask_orders(bases, hi)
+        orders = census._mask_orders(bases, lo, hi)
         return [
             pair
             for blo, bhi in census._blocks(lo, hi, block_size)
@@ -306,7 +315,7 @@ class TestPspMaskKernel:
     def test_orders_against_brute(self):
         hi = 2_000
         primes = [p for p in range(2, isqrt(hi - 1) + 2) if trial_division_is_prime(p)]
-        for a, qs, ds in census._mask_orders((2, 3, 10, 12), hi):
+        for a, qs, ds in census._mask_orders((2, 3, 10, 12), 2, hi):
             expected = []
             for p in primes:
                 if a % p == 0:
@@ -432,6 +441,38 @@ class TestVerifyExternalList:
         rep = verify_external_list(f, Z12)
         assert rep.malformed_lines == 3
         assert rep.total_read == 1
+        assert rep.passing == (143,)
+
+    def test_huge_digit_line_is_malformed(self, tmp_path):
+        # more digits than int() converts by default; the lines around it count
+        f = tmp_path / "list.txt"
+        f.write_text("341\n" + "7" * 5_000 + "\n" + "1" * 20 + "\n143\n")
+        rep = verify_external_list(f, Z12)
+        assert rep.malformed_lines == 2
+        assert rep.total_read == 2
+        assert rep.passing == (143,)
+
+    def test_over_cap_line_is_one_malformed_line(self, tmp_path):
+        f = tmp_path / "list.txt"
+        f.write_text("143\n" + "9" * (4 << 20) + "\n# " + "x" * 10_000 + "\n561\n")
+        tracemalloc.start()
+        try:
+            rep = verify_external_list(f, Z12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert rep.malformed_lines == 1
+        assert rep.total_read == 2
+        assert rep.passing == (143,)
+
+    def test_zero_padded_values(self, tmp_path):
+        f = tmp_path / "list.txt"
+        big = (1 << 63) - 1
+        f.write_text(f"{'0' * 30}143\n000\n{'0' * 3_000}{big}\n{'0' * 40}{1 << 63}\n")
+        rep = verify_external_list(f, Z12)
+        assert rep.malformed_lines == 2
+        assert rep.total_read == 2
         assert rep.passing == (143,)
 
 

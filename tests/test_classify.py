@@ -2,17 +2,17 @@ import pytest
 from oracle_utils import (
     brute_giuga_member,
     composite_sieve,
+    factors_from_spf,
     naive_script_F,
     primes_below,
+    smallest_prime_factor_sieve,
     trial_division_factorize,
 )
 
 from gausspseudo.arith import (
     factorize,
-    factors_from_spf,
     gaussian_lambda_from_factors,
     gaussian_phi_from_factors,
-    smallest_prime_factor_sieve,
 )
 from gausspseudo.classify import (
     carmichael_and_g_carmichael_3mod4,
