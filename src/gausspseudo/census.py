@@ -10,13 +10,15 @@ and deterministic Miller-Rabin above; factorizations come from a batched
 division sieve below 2**32 and from per-n factorization above.
 
 Every search is a sieve followed by exact confirmation.  The joint table
-(per integer base a) and the Gaussian pseudoprime search (base z) sieve
-each block by multiplicative orders modulo small prime powers, of a and
-of z/conj(z), and by large prime factors; the exact test then runs on a
-few percent of the composites only.  The class searches decide each n
-from its factorization by the Korselt-style criteria, so no Gaussian
-exponentiation runs per candidate.  All kernels are pure; a cancelled
-run simply never returns a partial result.
+(per integer base a), the Gaussian pseudoprime search (base z) and the
+Korselt classes g_carmichael and g_lehmer sieve each block by a divisor
+that F(n) (n-1 for the table) must have for every prime power q | n: the
+order of a or of z/conj(z) modulo q, or the group exponent or group order
+of q.  They also rule out n = kP with a large prime P.  The exact test,
+or the factorization and the class predicate, then runs on a few percent
+of the composites only.  The other classes are decided from the
+factorization of every n of the searched progression.  All kernels are
+pure; a cancelled run simply never returns a partial result.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import (
     MAX_ARG,
@@ -57,16 +60,9 @@ DEFAULT_BLOCK_SIZE = 1 << 20
 _SIEVE_CUTOFF = 1 << 32
 _FACTOR_BATCH = 1 << 16
 
-CLASSIFIER_NAMES = (
-    "g_carmichael",
-    "carmichael",
-    "g_cyclic",
-    "g_lehmer",
-    "congruence_exception",
-    "giuga",
-    "williams_1",
-    "twin_pair_product",
-)
+# Searches factor with the uncached function: the process that runs one
+# search may serve many more, and a cache filled by them would only grow.
+_factorize = factorize.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -200,29 +196,32 @@ def _run_blocks(kernel, tasks, workers: int, progress=None):
 # Factor sieve for predicate scans that need every factorization
 # ---------------------------------------------------------------------------
 
-def _factor_batch(lo: int, hi: int):
-    """Factorizations of every n in [lo, hi).
+def _factor_batch(start: int, hi: int, m: int):
+    """Factorizations of n = start, start + m, ... below hi.
 
     Below the sieve cutoff a batched division sieve over the primes up to
-    sqrt(hi) does the work; above it that prime list would outgrow memory
-    (about 1.5 * 10**8 primes near 2**63), so each n is factored on its own.
+    sqrt(hi) does the work, visiting only the terms each prime divides;
+    above it that prime list would outgrow memory (about 1.5 * 10**8
+    primes near 2**63), so each n is factored on its own.
     """
     if hi > _SIEVE_CUTOFF:
-        return [factorize(n).factors for n in range(lo, hi)]
-    size = hi - lo
-    rem = list(range(lo, hi))
+        return [_factorize(n).factors for n in range(start, hi, m)]
+    rem = list(range(start, hi, m))
+    size = len(rem)
     factors = [[] for _ in range(size)]
     for p in _base_primes(isqrt(hi - 1) + 1):
-        start = (lo + p - 1) // p * p
-        for idx in range(start - lo, size, p):
+        found = _class_in_progression(start, m, 0, p)
+        if found is None:
+            continue
+        i, step = found
+        for idx in range(i, size, step):
             k = 0
             v = rem[idx]
             while v % p == 0:
                 v //= p
                 k += 1
-            if k:
-                rem[idx] = v
-                factors[idx].append((p, k))
+            rem[idx] = v
+            factors[idx].append((p, k))
     for idx in range(size):
         if rem[idx] > 1:
             factors[idx].append((rem[idx], 1))
@@ -271,14 +270,23 @@ def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearra
     return codes
 
 
+def _sieve_primes(lo: int, hi: int) -> tuple[int, ...]:
+    """The primes whose powers sieve [lo, hi): those up to sqrt(min(hi,
+    2**32)) and up to hi - lo.  A larger prime has at most one multiple in
+    the range and would cost more to prepare than the test it saves; fewer
+    primes are sound at any height, the sieve merely rules out less."""
+    return _base_primes(min(isqrt(min(hi, _SIEVE_CUTOFF) - 1) + 1, hi - lo))
+
+
 def _sieve_progression(flags: bytearray, start: int, m: int, bounds, qs, ds, c: int) -> None:
-    """Clear flags[i] for the n = start + i*m that cannot satisfy x^(n-c) = 1
-    (mod n), for a unit x given by its orders.
+    """Clear flags[i] for the n = start + i*m that cannot have d | n - c for
+    the d of every prime power q | n, such as the order of a unit x with
+    x^(n-c) = 1 (mod n).
 
     flags holds the codes of _cofactor_codes.  Two rules clear:
 
     * large prime: for each (k, bound) in bounds, every n > bound coded k;
-    * order sieve: for each prime power q with d = ord_q(x) in (qs, ds), a
+    * order sieve: for each prime power q with its d in (qs, ds), a
       multiple of q can pass only if n = 0 (mod q) and n = c (mod d); d = 0
       means no multiple of q passes.  One slice saves the class that may
       pass, one clears all multiples of q, one restores the class.
@@ -339,27 +347,21 @@ def _congruence_exception(n: int, factors) -> bool:
     return pow(P % n, P, n) != 1 % n and pow(L % n, L, n) != 1 % n
 
 
-# classifier name -> predicate(n, factors), for the scans over every factorization
-_FACTORED_PREDICATES = {
-    "g_carmichael": _g_carmichael_from_factors,
-    "g_lehmer": _g_lehmer_multi,
-    "g_cyclic": _g_cyclic,
-    "congruence_exception": _congruence_exception,
-    "giuga": _giuga_from_factors,
-}
+def _williams_1(n: int, factors) -> bool:
+    return _r_williams_from_factors(n, factors, 1)
 
 
 def _factored_kernel(task):
-    """Exact scan for classifiers decided by the factorization of every n."""
-    lo, hi, residue_filter, which = task
-    predicate = _FACTORED_PREDICATES[which]
+    """Exact scan for classifiers decided by the factorization of every n
+    of the searched progression."""
+    lo, hi, residue_filter, predicate = task
+    m, r = residue_filter or (1, 0)
     hits = []
     for blo in range(lo, hi, _FACTOR_BATCH):
         bhi = min(blo + _FACTOR_BATCH, hi)
-        factors = _factor_batch(blo, bhi)
-        for n in _filtered_range(blo, bhi, residue_filter):
-            if predicate(n, factors[n - blo]):
-                hits.append(n)
+        start = blo + (r - blo) % m
+        factors = _factor_batch(start, bhi, m)
+        hits += [n for n, f in zip(range(start, bhi, m), factors) if predicate(n, f)]
     return hits
 
 
@@ -367,19 +369,13 @@ def _carmichael_type_kernel(task):
     """Prefiltered scan for carmichael / williams_1: both imply an odd
     base-2 Fermat pseudoprime, so one pow rules out nearly every n before
     it is factored."""
-    lo, hi, residue_filter, which = task
+    lo, hi, residue_filter, predicate = task
     flags = _composite_flags(lo, hi)
     hits = []
     for n in _filtered_range(lo, hi, residue_filter):
         if not flags[n - lo] or n % 2 == 0 or pow(2, n - 1, n) != 1:
             continue
-        fac = factorize(n).factors
-        ok = (
-            _carmichael_from_factors(n, fac)
-            if which == "carmichael"
-            else _r_williams_from_factors(n, fac, 1)
-        )
-        if ok:
+        if predicate(n, _factorize(n).factors):
             hits.append(n)
     return hits
 
@@ -413,11 +409,9 @@ def _mask_orders(integer_bases, lo: int, hi: int):
     d = 1 carry no condition and are left out.  Arrays keep the task that
     carries them to every block small.
 
-    Sieve primes are those up to sqrt(min(hi, 2**32)) and up to hi - lo, as
-    in _gfp_orders.  Fewer primes are sound at any height: the sieve merely
-    rules out fewer candidates.
+    Sieve primes are those of _sieve_primes.
     """
-    primes = _base_primes(min(isqrt(min(hi, _SIEVE_CUTOFF) - 1) + 1, hi - lo))
+    primes = _sieve_primes(lo, hi)
     out = tuple((a, array("q"), array("q")) for a in integer_bases)
     for p in primes:
         p1_factors = [f for f, _ in factorize(p - 1).factors] if p > 2 else []
@@ -505,14 +499,10 @@ def _gfp_orders(z: GaussianBase, lo: int, hi: int):
     sieve prime: d = ord_q(z/conj(z)), or d = 0 when the prime divides
     z*conj(z), which makes every multiple of it an invalid modulus for z.
     Pairs with d = 1 carry no condition and are left out.
-
-    Sieve primes are those up to sqrt(min(hi, 2**32)) and up to hi - lo: a
-    larger prime has at most one multiple in [lo, hi) and would cost more
-    to order than the test it saves.
     """
     znorm = z.norm()
     qs, ds = array("q"), array("q")
-    for p in _base_primes(min(isqrt(min(hi, _SIEVE_CUTOFF) - 1) + 1, hi - lo)):
+    for p in _sieve_primes(lo, hi):
         if znorm % p == 0:
             qs.append(p)
             ds.append(0)
@@ -558,37 +548,83 @@ def _gfp_large_prime_bounds(z: GaussianBase, hi: int) -> tuple:
     return tuple(rules)
 
 
-def _gfp_kernel(task):
-    """Gaussian Fermat pseudoprimes to base z in one block, ascending.
-
-    The block (after the residue filter) is split into progressions of
-    fixed n mod 4, where F(n) = n - c with c = 1, -1 or 0.  In each, the
-    order sieve of z/conj(z) and the large-prime rule of
-    _gfp_large_prime_bounds rule out most composites; the survivors are
-    confirmed by the exact ratio test (z/conj(z))^F(n) = 1 (mod n).
-    """
-    lo, hi, residue_filter, z, qs, ds, large_prime_bounds = task
+def _gfp_confirm(z: GaussianBase, n: int) -> bool:
+    """The exact ratio test (z/conj(z))^F(n) = 1 (mod n); False when n
+    shares a factor with z*conj(z)."""
     znorm = z.norm()
+    if gcd(n, znorm) != 1:
+        return False
+    ra, rb = _ratio_components(z.re, z.im, znorm, n)
+    return _pow_components(ra, rb, script_F(n), n) == (1, 0)
+
+
+def _korselt_orders(group_order, lo: int, hi: int):
+    """Two int64 arrays (qs, ds) over the prime powers q < hi of the sieve
+    primes, with d = group_order(((p, k),)) for q = p^k: the group exponent
+    or the group order of q.  Either divides its value at every multiple
+    of q, so a member n of the class has d | F(n) for every q | n.  Pairs
+    with d = 1 carry no condition and are left out, as are d >= 2**63,
+    which no int64 holds and no F(n) of the domain is a multiple of.
+    """
+    qs, ds = array("q"), array("q")
+    for p in _sieve_primes(lo, hi):
+        q, k = p, 1
+        while q < hi:
+            d = group_order(((p, k),))
+            if 1 < d < MAX_ARG:
+                qs.append(q)
+                ds.append(d)
+            q, k = q * p, k + 1
+    return qs, ds
+
+
+def _korselt_bounds(kmax: int) -> tuple:
+    """Pairs (k, k(k + 2)): a composite n = kP > k(k + 2), so with P a prime
+    above k + 2, is neither G-Carmichael nor G-Lehmer.
+
+    As P > k, P exactly divides n, so P - e = lambda_G(P) = phi_G(P), with
+    e = (-1/P), divides F(n) = n - c in either class.  As n - c =
+    k(P - e) + ke - c, it would divide ke - c, which is nonzero (k >= 2,
+    |c| <= 1) and at most k + 1 < P - e in absolute value.
+    """
+    return tuple((k, k * (k + 2)) for k in range(2, kmax + 1))
+
+
+def _factored_confirm(predicate, n: int) -> bool:
+    return predicate(n, _factorize(n).factors)
+
+
+# (modulus, residue, c): the classes of n mod 4 on which F(n) = n - c
+_F_CLASSES = ((2, 0, 0), (4, 1, 1), (4, 3, -1))
+
+
+def _sieve_kernel(task):
+    """The n of one block, after the residue filter, that pass confirm(n),
+    ascending.
+
+    The sieve clears, before confirm runs, the primes, the n with some
+    (q, d) in (qs, ds) where q | n but d does not divide F(n), and each
+    n = kP > bound with P prime for a (k, bound) in bounds; confirm must
+    reject all of them.  The block's cofactor codes are split into the
+    classes of _F_CLASSES, and each class is sieved with its c.
+    """
+    lo, hi, residue_filter, qs, ds, bounds, confirm = task
     m, r = residue_filter or (1, 0)
-    bounds = ()
-    if hi <= _SIEVE_CUTOFF:  # the codes need the segmented sieve
-        bounds = [(k, bound) for k, bound in large_prime_bounds if bound < hi]
-    kmax = max((k for k, _ in bounds), default=1)
+    start = lo + (r - lo) % m
+    if hi > _SIEVE_CUTOFF:  # the codes need the segmented sieve
+        bounds = ()
+    else:
+        bounds = [(k, bound) for k, bound in bounds if bound < hi]
+    codes = _cofactor_codes(lo, hi, m, start, max((k for k, _ in bounds), default=1))
     hits = []
-    for t, c in enumerate((0, 1, 0, -1)):
-        found = _class_in_progression(r, m, t, 4)
+    for modulus, residue, c in _F_CLASSES:
+        found = _class_in_progression(start, m, residue, modulus)
         if found is None:
             continue
         i, step = found
-        mt = m * step
-        start = lo + (r + i * m - lo) % mt
-        flags = _cofactor_codes(lo, hi, mt, start, kmax)
-        _sieve_progression(flags, start, mt, bounds, qs, ds, c)
-        for n in compress(range(start, hi, mt), flags):
-            if gcd(n, znorm) == 1:
-                ra, rb = _ratio_components(z.re, z.im, znorm, n)
-                if _pow_components(ra, rb, script_F(n), n) == (1, 0):
-                    hits.append(n)
+        flags = codes[i::step]
+        _sieve_progression(flags, start + i * m, m * step, bounds, qs, ds, c)
+        hits += filter(confirm, compress(range(start + i * m, hi, m * step), flags))
     hits.sort()
     return hits
 
@@ -613,6 +649,61 @@ def _twin_pair_products(query: RangeQuery) -> list[int]:
     return hits
 
 
+class _ClassSearch(NamedTuple):
+    """How search_classifier finds one class.
+
+    kernel runs one block and predicate(n, factors) decides membership.
+    A Korselt class has a group_order, the arith function whose value at
+    each prime power q | n divides F(n) for every member n: _sieve_kernel
+    sieves by it and by the large-prime rule for cofactors up to kmax,
+    then confirms with predicate.  odd_only classes have no even member;
+    capped ones refuse ranges above the giuga cap.  kernel None is the
+    twin-prime enumeration.
+    """
+
+    kernel: object
+    predicate: object = None
+    group_order: object = None
+    kmax: int = 0
+    odd_only: bool = False
+    capped: bool = False
+
+
+# Every member of g_cyclic and congruence_exception has gcd(phi_G(n), n) = 1,
+# and phi_G(n) is even for every n >= 2.  Each kmax was the fastest on
+# windows of 2**16 in [2**23, 2**24): larger ones cost more in cofactor
+# codes than they save in factorizations.
+_CLASS_SEARCHES = {
+    "g_carmichael": _ClassSearch(
+        _sieve_kernel, _g_carmichael_from_factors, gaussian_lambda_from_factors, kmax=128
+    ),
+    "carmichael": _ClassSearch(_carmichael_type_kernel, _carmichael_from_factors),
+    "g_cyclic": _ClassSearch(_factored_kernel, _g_cyclic, odd_only=True),
+    "g_lehmer": _ClassSearch(
+        _sieve_kernel, _g_lehmer_multi, gaussian_phi_from_factors, kmax=24
+    ),
+    "congruence_exception": _ClassSearch(
+        _factored_kernel, _congruence_exception, odd_only=True
+    ),
+    "giuga": _ClassSearch(_factored_kernel, _giuga_from_factors, capped=True),
+    "williams_1": _ClassSearch(_carmichael_type_kernel, _williams_1),
+    "twin_pair_product": _ClassSearch(None),
+}
+
+CLASSIFIER_NAMES = tuple(_CLASS_SEARCHES)
+
+
+def _odd_filter(residue_filter):
+    """The residue filter of the odd n that pass residue_filter, or None
+    when every n it passes is even."""
+    m, r = residue_filter or (1, 0)
+    found = _class_in_progression(r, m, 1, 2)
+    if found is None:
+        return None
+    i, step = found
+    return m * step, (r + i * m) % (m * step)
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -634,11 +725,12 @@ def search_gfp(
     """
     qs, ds = _gfp_orders(z, query.lo, query.hi)
     bounds = _gfp_large_prime_bounds(z, query.hi)
+    confirm = partial(_gfp_confirm, z)
     tasks = [
-        (lo, hi, query.residue_filter, z, qs, ds, bounds)
+        (lo, hi, query.residue_filter, qs, ds, bounds, confirm)
         for lo, hi in _blocks(query.lo, query.hi, block_size)
     ]
-    parts = _run_blocks(_gfp_kernel, tasks, query.workers, progress)
+    parts = _run_blocks(_sieve_kernel, tasks, query.workers, progress)
     return [n for part in parts for n in part]
 
 
@@ -657,24 +749,42 @@ def search_classifier(
     'twin_pair_product' family.  'congruence_exception' means G-cyclic
     numbers failing both power congruences.
 
-    'carmichael' and 'williams_1' sieve by one base-2 Fermat test and
-    confirm the few survivors from their factorization.  Every other class
-    is decided exactly from the factorization of each n in the range,
-    which a batched division sieve provides.
+    'g_carmichael' and 'g_lehmer' are sieved as search_gfp is, by the
+    Korselt criterion: lambda_G(q), respectively phi_G(q), divides F(n)
+    for every prime power q | n; n = kP with a prime P > k + 2 fails both.
+    About 3 percent (g_carmichael) and 1.3 percent (g_lehmer) of a window
+    of 2**16 near 10**7 survive to be factored and decided.  'carmichael'
+    and 'williams_1' sieve by one base-2 Fermat test and confirm the few
+    survivors from their factorization.  The other classes are decided
+    exactly from the factorization of each n of the searched progression,
+    which a batched division sieve provides; 'g_cyclic' and
+    'congruence_exception' search the odd n only.
     """
-    if which not in CLASSIFIER_NAMES:
+    spec = _CLASS_SEARCHES.get(which)
+    if spec is None:
         raise ValueError(f"unknown classifier {which!r}; choose from {CLASSIFIER_NAMES}")
-    if which == "twin_pair_product":
+    if spec.kernel is None:
         return _twin_pair_products(query)
-    if which == "giuga" and query.hi - 1 > giuga_cap:
+    if spec.capped and query.hi - 1 > giuga_cap:
         raise ValueError(f"giuga cap exceeded: {query.hi - 1} > {giuga_cap}")
-    blocks = _blocks(query.lo, query.hi, block_size)
-    if which in ("carmichael", "williams_1"):
-        kernel = _carmichael_type_kernel
+    residue_filter = query.residue_filter
+    if spec.odd_only:
+        residue_filter = _odd_filter(residue_filter)
+        if residue_filter is None:
+            return []
+    if spec.group_order is None:
+        params = (spec.predicate,)
     else:
-        kernel = _factored_kernel
-    tasks = [(lo, hi, query.residue_filter, which) for lo, hi in blocks]
-    parts = _run_blocks(kernel, tasks, query.workers, progress)
+        params = (
+            *_korselt_orders(spec.group_order, query.lo, query.hi),
+            _korselt_bounds(spec.kmax),
+            partial(_factored_confirm, spec.predicate),
+        )
+    tasks = [
+        (lo, hi, residue_filter, *params)
+        for lo, hi in _blocks(query.lo, query.hi, block_size)
+    ]
+    parts = _run_blocks(spec.kernel, tasks, query.workers, progress)
     return [n for part in parts for n in part]
 
 

@@ -37,7 +37,7 @@ from gausspseudo.classify import (
     lambda_power_congruence,
     phi_power_congruence,
 )
-from gausspseudo.arith import factorize
+from gausspseudo.arith import factorize, gaussian_lambda, gaussian_phi
 from gausspseudo.fermat import (
     BASE_PANEL,
     TestOutcome,
@@ -178,6 +178,67 @@ class TestGfpSieve:
         assert list(zip(qs, ds)) == expected
 
 
+SIEVED_CLASSES = ("g_carmichael", "g_lehmer", "g_cyclic", "congruence_exception")
+CLASS_FILTERS = (None, (4, 1), (4, 3), (3, 2), (8, 5), (2, 0), (6, 3))
+
+
+@pytest.fixture(scope="module")
+def naive_class_hits():
+    return {which: naive_classifier_scan(2, SIEVE_LIMIT, which) for which in SIEVED_CLASSES}
+
+
+class TestClassSieve:
+    """The Korselt sieve of g_carmichael / g_lehmer and the odd-only factor
+    batches of g_cyclic / congruence_exception against the predicates."""
+
+    @pytest.mark.parametrize("which", SIEVED_CLASSES)
+    def test_blocks_from_2_against_naive(self, which, naive_class_hits):
+        expected = naive_class_hits[which]
+        for residue_filter in CLASS_FILTERS:
+            m, r = residue_filter or (1, 0)
+            # blocks of 1000 start at every residue mod 4 and 8
+            got = search_classifier(
+                RangeQuery(2, SIEVE_LIMIT, residue_filter), which, block_size=1000
+            )
+            assert got == [n for n in expected if n % m == r], residue_filter
+
+    @pytest.mark.parametrize("which", SIEVED_CLASSES)
+    def test_window_near_2_23_against_naive(self, which):
+        lo = (1 << 23) + 3 * (1 << 19) + 77
+        hi = lo + (1 << 12)
+        assert search_classifier(RangeQuery(lo, hi), which) == naive_classifier_scan(
+            lo, hi, which
+        )
+
+    @pytest.mark.parametrize(
+        "which, group", [("g_carmichael", gaussian_lambda), ("g_lehmer", gaussian_phi)]
+    )
+    @pytest.mark.parametrize(
+        "lo, hi", [(2, 3_000), (10**6, 10**6 + 500), ((1 << 62) - 3, (1 << 62) + 3)]
+    )
+    def test_orders_are_closed_forms(self, which, group, lo, hi):
+        sieve_limit = min(isqrt(min(hi, census._SIEVE_CUTOFF) - 1) + 1, hi - lo)
+        expected = []
+        for p in range(2, sieve_limit + 1):
+            if trial_division_is_prime(p):
+                q = p
+                while q < hi:
+                    d = group(q)
+                    if 1 < d < 1 << 63:  # phi_G(2**62) = 2**63 fits no int64
+                        expected.append((q, d))
+                    q *= p
+        qs, ds = census._korselt_orders(census._CLASS_SEARCHES[which].group_order, lo, hi)
+        assert list(zip(qs, ds)) == expected
+
+    @pytest.mark.parametrize("which", ["g_carmichael", "g_lehmer"])
+    def test_search_leaves_factorize_cache_alone(self, which):
+        # survivors are factored uncached: a long-lived process must not
+        # keep every survivor's factorization
+        before = factorize.cache_info().currsize
+        search_classifier(RangeQuery(10**7, 10**7 + 20_000), which)
+        assert factorize.cache_info().currsize == before
+
+
 class TestSearchClassifier:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -211,7 +272,7 @@ class TestSearchClassifier:
         got = search_classifier(RangeQuery(2, 2_000, (4, 3)), which)
         assert got == naive_classifier_scan(2, 2_000, which, (4, 3))
 
-    @pytest.mark.parametrize("which", ["g_carmichael", "g_cyclic"])
+    @pytest.mark.parametrize("which", ["g_carmichael", "g_cyclic", "g_lehmer"])
     @pytest.mark.parametrize(
         "lo, hi",
         [

@@ -1,3 +1,10 @@
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gausspseudo.census import CLASSIFIER_NAMES
 from gausspseudo.cli import main
 
 
@@ -165,3 +172,103 @@ class TestWorkersDefault:
 
         monkeypatch.delenv("GAUSSPSEUDO_WORKERS", raising=False)
         assert _default_workers() == available_cpus()
+
+
+# Tokens for the in-process fuzz of main(): valid and invalid values of
+# every argument.  Ranges stay below 10**4 and --workers at 1, 2 or text,
+# so every example runs in a fraction of a second.
+_NUMBERS = st.integers(2, 10**4).map(str) | st.sampled_from(
+    ("0", "1", "-7", "1e3", "abc", "", "0x1f", " 12", "\u0661\u0665", "9223372036854775807",
+     "9223372036854775808", "99999999999999999999999")
+)
+_BOUNDS = st.integers(-5, 10**4).map(str) | st.sampled_from(("", "x", "1.5", "1e3"))
+_FILTERS = st.sampled_from(("4,3", "4,1", "2,0", "3,2", "8,5", "6,3", "1,0", "4,4",
+                            "0,0", "-4,1", "4,-1", "4", "a,b", "4,3,1", ""))
+_VALID_BASES = st.sampled_from(("1+2i", "1-2i", "1+1i", "3+0i", "0+3i", "-2+5i", "2+2i", "0+0i"))
+_BASES = _VALID_BASES | st.sampled_from(("i", "1+2j", "1 + 2i", "abc", "", "99999999999999999999+1i"))
+_WORKERS = st.sampled_from(("1", "2", "two", "", "1.5"))
+_FORMATS = st.sampled_from(("plain", "csv", "records", "json", ""))
+_BASE_LISTS = st.lists(_BASES, max_size=3).map(",".join)
+_INT_LISTS = st.lists(st.sampled_from(("2", "3", "10", "1", "0", "-3", "x", "9223372036854775808")),
+                      max_size=3).map(",".join)
+_FILES = st.sampled_from(("list", "empty", "missing", "dir"))
+_FLAG = st.just(())
+
+
+def _with_value(values):
+    return values.map(lambda v: (v,))
+
+
+_COMMON = {"--quiet": _FLAG, "--format": _with_value(_FORMATS)}
+# command -> (a valid invocation, flag -> strategy of its value tuples)
+_COMMANDS = {
+    "classify": (
+        st.builds(lambda n: [n], _NUMBERS),
+        {**_COMMON, "--giuga": _FLAG, "--giuga-cap": _with_value(_BOUNDS)},
+    ),
+    "search": (
+        st.builds(
+            lambda which, hi, base: [which, "--hi", str(hi), "--base", base],
+            st.sampled_from(CLASSIFIER_NAMES + ("gfp",)), st.integers(3, 10**4), _VALID_BASES,
+        ),
+        {**_COMMON, "--lo": _with_value(_BOUNDS), "--hi": _with_value(_BOUNDS),
+         "--filter": _with_value(_FILTERS), "--base": _with_value(_BASES),
+         "--workers": _with_value(_WORKERS), "--giuga-cap": _with_value(_BOUNDS)},
+    ),
+    "table": (
+        # the default --limit, 4*10**7, is far above the fuzz ranges
+        st.builds(lambda limit: ["--limit", str(limit)], st.integers(3, 10**4)),
+        {**_COMMON, "--limit": _with_value(_BOUNDS), "--filter": _with_value(_FILTERS),
+         "--gaussian-bases": _with_value(_BASE_LISTS),
+         "--integer-bases": _with_value(_INT_LISTS), "--workers": _with_value(_WORKERS)},
+    ),
+    "verify": (
+        st.builds(lambda base: ["--file", "list", "--base", base], _VALID_BASES),
+        {**_COMMON, "--file": _with_value(_FILES), "--base": _with_value(_BASES),
+         "--filter": _with_value(_FILTERS)},
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A valid invocation with up to three option groups added; a later
+    group overrides the same flag, and a stray word may be mixed in."""
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["nope", "--help", ""]))
+    if command not in _COMMANDS:
+        return [command]
+    valid, spec = _COMMANDS[command]
+    args = draw(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(sorted(spec)))
+        args += [flag, *draw(spec[flag])]
+    if draw(st.integers(0, 9)) == 0:
+        args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(("--nope", "7", "-h"))))
+    return [command] + args
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "list").write_text("# comment\n143\n341\n561\n\nx\n-7\n" + "9" * 30 + "\n15\n")
+    (root / "empty").write_text("")
+    (root / "dir").mkdir()
+    return root
+
+
+class TestMainFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv=_argv())
+    def test_exit_code_and_no_traceback(self, argv, fuzz_files):
+        argv = [
+            str(fuzz_files / argv[i]) if i and argv[i - 1] == "--file" else argv[i]
+            for i in range(len(argv))
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
