@@ -29,6 +29,7 @@ from .census import (
     verify_external_list,
 )
 from .classify import (
+    PREDICATES,
     ClassificationReport,
     ConsistencyError,
     carmichael_and_g_carmichael_3mod4,

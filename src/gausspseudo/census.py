@@ -17,8 +17,10 @@ order of a or of z/conj(z) modulo q, or the group exponent or group order
 of q.  They also rule out n = kP with a large prime P.  The exact test,
 or the factorization and the class predicate, then runs on a few percent
 of the composites only.  The other classes are decided from the
-factorization of every n of the searched progression.  All kernels are
-pure; a cancelled run simply never returns a partial result.
+factorization of every n of the searched progression.  Membership comes
+from classify.PREDICATES plus two search rules (g_lehmer's three prime
+factors, congruence_exception).  All kernels are pure; a cancelled run
+simply never returns a partial result.
 """
 
 from __future__ import annotations
@@ -44,12 +46,10 @@ from .arith import (
 )
 from .classify import (
     DEFAULT_GIUGA_CAP,
-    _carmichael_from_factors,
-    _g_carmichael_from_factors,
-    _g_lehmer_from_factors,
-    _giuga_from_factors,
-    _r_williams_from_factors,
+    PREDICATES,
     carmichael_and_g_carmichael_3mod4,
+    giuga_from_factors,
+    power_congruence,
 )
 from .fermat import TestOutcome, gaussian_fermat_ratio_test
 from .residues import GaussianBase, _pow_components
@@ -141,13 +141,6 @@ def _composite_flags(lo: int, hi: int) -> bytearray:
             if not is_prime(n):
                 flags[n - lo] = 1
     return flags
-
-
-def _filtered_range(lo: int, hi: int, residue_filter):
-    if residue_filter is None:
-        return range(lo, hi)
-    m, r = residue_filter
-    return range(lo + (r - lo) % m, hi, m)
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +325,18 @@ def _ratio_components(zre: int, zim: int, znorm: int, n: int) -> tuple[int, int]
 
 def _g_lehmer_multi(n: int, factors) -> bool:
     # the published sequence; the two-factor members are twin_pair_product
-    return len(factors) >= 3 and _g_lehmer_from_factors(n, factors)
-
-
-def _g_cyclic(n: int, factors) -> bool:
-    return gcd(gaussian_phi_from_factors(factors), n) == 1
+    return len(factors) >= 3 and PREDICATES["g_lehmer"](n, factors)
 
 
 def _congruence_exception(n: int, factors) -> bool:
+    # G-cyclic, and neither power congruence holds: phi_G(n) is computed
+    # once, lambda_G(n) only for G-cyclic n
     P = gaussian_phi_from_factors(factors)
-    if gcd(P, n) != 1:
-        return False
-    L = gaussian_lambda_from_factors(factors)
-    return pow(P % n, P, n) != 1 % n and pow(L % n, L, n) != 1 % n
-
-
-def _williams_1(n: int, factors) -> bool:
-    return _r_williams_from_factors(n, factors, 1)
+    return (
+        gcd(P, n) == 1
+        and not power_congruence(P, n)
+        and not power_congruence(gaussian_lambda_from_factors(factors), n)
+    )
 
 
 def _factored_kernel(task):
@@ -366,40 +354,17 @@ def _factored_kernel(task):
 
 
 def _carmichael_type_kernel(task):
-    """Prefiltered scan for carmichael / williams_1: both imply an odd
-    base-2 Fermat pseudoprime, so one pow rules out nearly every n before
-    it is factored."""
+    """Prefiltered scan of odd n for carmichael, williams_1 and their 3 mod 4
+    intersection with g_carmichael: each implies a base-2 Fermat
+    pseudoprime, so one pow rules out nearly every n before it is factored."""
     lo, hi, residue_filter, predicate = task
+    m, r = residue_filter or (1, 0)
     flags = _composite_flags(lo, hi)
-    hits = []
-    for n in _filtered_range(lo, hi, residue_filter):
-        if not flags[n - lo] or n % 2 == 0 or pow(2, n - 1, n) != 1:
-            continue
-        if predicate(n, _factorize(n).factors):
-            hits.append(n)
-    return hits
-
-
-def _intersection_kernel(task):
-    """n = 3 mod 4 that are simultaneously Carmichael and G-Carmichael.
-
-    Any such n (either route) is an odd base-2 Fermat pseudoprime, so the
-    scan tests that single congruence first and evaluates the exact
-    predicates, including the Williams consistency cross-check, on the
-    survivors only.
-    """
-    lo, hi = task
-    flags = _composite_flags(lo, hi)
-    hits = []
-    start = lo + (3 - lo) % 4
-    for n in range(start, hi, 4):
-        if not flags[n - lo]:
-            continue
-        if pow(2, n - 1, n) != 1:
-            continue
-        if carmichael_and_g_carmichael_3mod4(n):
-            hits.append(n)
-    return hits
+    return [
+        n
+        for n in range(lo + (r - lo) % m, hi, m)
+        if flags[n - lo] and pow(2, n - 1, n) == 1 and predicate(n, _factorize(n).factors)
+    ]
 
 
 def _mask_orders(integer_bases, lo: int, hi: int):
@@ -631,21 +596,14 @@ def _sieve_kernel(task):
 
 def _twin_pair_products(query: RangeQuery) -> list[int]:
     """Products pq of twin primes with p+q divisible by 8 (equivalently p = 3 mod 4)."""
+    m, r = query.residue_filter or (1, 0)
     hits = []
-    p = 3
-    while p * (p + 2) < query.hi:
-        if (
-            p % 4 == 3
-            and is_prime(p)
-            and is_prime(p + 2)
-            and p * (p + 2) >= query.lo
-        ):
-            n = p * (p + 2)
-            if query.residue_filter is None or (
-                n % query.residue_filter[0] == query.residue_filter[1]
-            ):
-                hits.append(n)
-        p += 2
+    p = max(3, isqrt(query.lo) - 2)
+    p += (3 - p) % 4  # every smaller p = 3 (mod 4) has p(p + 2) < lo
+    while (n := p * (p + 2)) < query.hi:
+        if n >= query.lo and n % m == r and is_prime(p) and is_prime(p + 2):
+            hits.append(n)
+        p += 4
     return hits
 
 
@@ -670,23 +628,28 @@ class _ClassSearch(NamedTuple):
 
 
 # Every member of g_cyclic and congruence_exception has gcd(phi_G(n), n) = 1,
-# and phi_G(n) is even for every n >= 2.  Each kmax was the fastest on
+# and phi_G(n) is even for every n >= 2.  No Carmichael or 1-Williams number
+# is even: p - 1 | n - 1 for an odd prime p | n.  Each kmax was the fastest on
 # windows of 2**16 in [2**23, 2**24): larger ones cost more in cofactor
 # codes than they save in factorizations.
 _CLASS_SEARCHES = {
     "g_carmichael": _ClassSearch(
-        _sieve_kernel, _g_carmichael_from_factors, gaussian_lambda_from_factors, kmax=128
+        _sieve_kernel, PREDICATES["g_carmichael"], gaussian_lambda_from_factors, kmax=128
     ),
-    "carmichael": _ClassSearch(_carmichael_type_kernel, _carmichael_from_factors),
-    "g_cyclic": _ClassSearch(_factored_kernel, _g_cyclic, odd_only=True),
+    "carmichael": _ClassSearch(
+        _carmichael_type_kernel, PREDICATES["carmichael"], odd_only=True
+    ),
+    "g_cyclic": _ClassSearch(_factored_kernel, PREDICATES["g_cyclic"], odd_only=True),
     "g_lehmer": _ClassSearch(
         _sieve_kernel, _g_lehmer_multi, gaussian_phi_from_factors, kmax=24
     ),
     "congruence_exception": _ClassSearch(
         _factored_kernel, _congruence_exception, odd_only=True
     ),
-    "giuga": _ClassSearch(_factored_kernel, _giuga_from_factors, capped=True),
-    "williams_1": _ClassSearch(_carmichael_type_kernel, _williams_1),
+    "giuga": _ClassSearch(_factored_kernel, giuga_from_factors, capped=True),
+    "williams_1": _ClassSearch(
+        _carmichael_type_kernel, PREDICATES["williams_1"], odd_only=True
+    ),
     "twin_pair_product": _ClassSearch(None),
 }
 
@@ -757,8 +720,9 @@ def search_classifier(
     and 'williams_1' sieve by one base-2 Fermat test and confirm the few
     survivors from their factorization.  The other classes are decided
     exactly from the factorization of each n of the searched progression,
-    which a batched division sieve provides; 'g_cyclic' and
-    'congruence_exception' search the odd n only.
+    which a batched division sieve provides.  'g_cyclic', 'congruence_exception',
+    'carmichael' and 'williams_1' search the odd n only.  Membership is
+    decided by classify.PREDICATES (giuga: classify.giuga_from_factors).
     """
     spec = _CLASS_SEARCHES.get(which)
     if spec is None:
@@ -845,8 +809,11 @@ def carmichael_intersection_scan(
     """
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
-    tasks = _blocks(query.lo, query.hi, block_size)
-    parts = _run_blocks(_intersection_kernel, tasks, query.workers, progress)
+    tasks = [
+        (lo, hi, (4, 3), carmichael_and_g_carmichael_3mod4)
+        for lo, hi in _blocks(query.lo, query.hi, block_size)
+    ]
+    parts = _run_blocks(_carmichael_type_kernel, tasks, query.workers, progress)
     return [n for part in parts for n in part]
 
 
@@ -941,15 +908,19 @@ def _query_dict(query: RangeQuery) -> dict:
     }
 
 
+def canonical_json(rec: dict) -> str:
+    """rec as one line of JSON with sorted keys and no spaces."""
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
 def record_line(kind: str, query: RangeQuery | None, base, values) -> str:
     """One canonical JSON record: {kind, query, base, values}."""
-    rec = {
+    return canonical_json({
         "kind": kind,
         "query": _query_dict(query) if query else None,
         "base": str(base) if base is not None else None,
         "values": list(values),
-    }
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    })
 
 
 def table_to_records(table: CensusTable, query: RangeQuery) -> str:

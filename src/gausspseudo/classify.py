@@ -4,6 +4,10 @@ Covers the Gaussian analogues of Carmichael numbers (two equivalent
 routes), cyclic numbers, Lehmer's totient condition and the Giuga-style
 power-sum set, plus the classical Carmichael/cyclic predicates, Williams
 numbers, and an aggregate report.
+
+Each class is defined once, as predicate(n, factors) in PREDICATES, which
+the is_* functions, classify() and the census searches all evaluate; the
+witness routes of g_carmichael and carmichael are cross-checked against it.
 """
 
 from __future__ import annotations
@@ -36,8 +40,83 @@ def _check_n(n: int) -> None:
         raise ValueError(f"argument must satisfy 2 <= n < 2**63, got {n}")
 
 
-def _is_prime_power(factors) -> bool:
-    return len(factors) == 1
+def _is_prime(factors) -> bool:
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+# ---------------------------------------------------------------------------
+# Class predicates, each defined once as predicate(n, factors)
+# ---------------------------------------------------------------------------
+
+def _g_carmichael(n: int, factors) -> bool:
+    return not _is_prime(factors) and script_F(n) % gaussian_lambda_from_factors(factors) == 0
+
+
+def _carmichael(n: int, factors) -> bool:
+    if n % 2 == 0 or _is_prime(factors):
+        return False
+    return all(k == 1 for _, k in factors) and all((n - 1) % (p - 1) == 0 for p, _ in factors)
+
+
+def _g_cyclic(n: int, factors) -> bool:
+    return gcd(gaussian_phi_from_factors(factors), n) == 1
+
+
+def _cyclic(n: int, factors) -> bool:
+    return gcd(classical_phi_from_factors(factors), n) == 1
+
+
+def _g_lehmer(n: int, factors) -> bool:
+    return not _is_prime(factors) and script_F(n) % gaussian_phi_from_factors(factors) == 0
+
+
+def power_congruence(x: int, n: int) -> bool:
+    """x ** x = 1 mod n.
+
+    x ** x = 1 forces gcd(x, n) = 1, so the gcd settles most n before the
+    power is taken; gaussian_phi(n) and gaussian_lambda(n) have the same
+    prime divisors, so for either that gcd is the G-cyclic test.
+    """
+    return gcd(x, n) == 1 and pow(x, x, n) == 1
+
+
+def _phi_power_congruence(n: int, factors) -> bool:
+    return power_congruence(gaussian_phi_from_factors(factors), n)
+
+
+def _lambda_power_congruence(n: int, factors) -> bool:
+    return power_congruence(gaussian_lambda_from_factors(factors), n)
+
+
+def _williams(n: int, factors, r: int = 1) -> bool:
+    if _is_prime(factors) or any(k > 1 for _, k in factors):
+        return False
+    for p, _ in factors:
+        if (n + r) % (p + r) != 0:
+            return False
+        d = p - r
+        if d == 0 or (n - r) % abs(d) != 0:
+            return False
+    return True
+
+
+# name -> predicate(n, factors), in report order; module-level functions,
+# so the range searches can ship them to worker processes.
+PREDICATES = {
+    "g_carmichael": _g_carmichael,
+    "carmichael": _carmichael,
+    "g_cyclic": _g_cyclic,
+    "cyclic": _cyclic,
+    "g_lehmer": _g_lehmer,
+    "phi_power_congruence": _phi_power_congruence,
+    "lambda_power_congruence": _lambda_power_congruence,
+    "williams_1": _williams,
+}
+
+
+def _decide(predicate, n: int) -> bool:
+    _check_n(n)
+    return predicate(n, factorize(n).factors)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +132,7 @@ def g_carmichael_witness(n: int) -> tuple[bool, dict]:
     """
     _check_n(n)
     fac = factorize(n)
-    if _is_prime_power(fac.factors) and fac.factors[0][1] == 1:
+    if _is_prime(fac.factors):
         return False, {"prime": n}
     F = script_F(n)
     for p, _ in fac.factors:
@@ -79,17 +158,7 @@ def is_g_carmichael(n: int) -> bool:
 
 def is_g_carmichael_via_lambda(n: int) -> bool:
     """Equivalent route: composite and group exponent divides F(n)."""
-    _check_n(n)
-    fac = factorize(n)
-    if _is_prime_power(fac.factors) and fac.factors[0][1] == 1:
-        return False
-    return script_F(n) % gaussian_lambda_from_factors(fac.factors) == 0
-
-
-def _g_carmichael_from_factors(n: int, factors) -> bool:
-    if len(factors) == 1 and factors[0][1] == 1:
-        return False
-    return script_F(n) % gaussian_lambda_from_factors(factors) == 0
+    return _decide(_g_carmichael, n)
 
 
 def carmichael_witness(n: int) -> tuple[bool, dict]:
@@ -98,7 +167,7 @@ def carmichael_witness(n: int) -> tuple[bool, dict]:
     if n % 2 == 0:
         return False, {"even": n}
     fac = factorize(n)
-    if _is_prime_power(fac.factors) and fac.factors[0][1] == 1:
+    if _is_prime(fac.factors):
         return False, {"prime": n}
     for p, k in fac.factors:
         if k > 1:
@@ -113,57 +182,33 @@ def is_carmichael(n: int) -> bool:
     return carmichael_witness(n)[0]
 
 
-def _carmichael_from_factors(n: int, factors) -> bool:
-    if n % 2 == 0 or (len(factors) == 1 and factors[0][1] == 1):
-        return False
-    return all(k == 1 for _, k in factors) and all(
-        (n - 1) % (p - 1) == 0 for p, _ in factors
-    )
-
-
 # ---------------------------------------------------------------------------
 # Cyclic and Lehmer-style predicates
 # ---------------------------------------------------------------------------
 
 def is_g_cyclic(n: int) -> bool:
     """gcd(gaussian_phi(n), n) = 1."""
-    _check_n(n)
-    return gcd(gaussian_phi_from_factors(factorize(n).factors), n) == 1
+    return _decide(_g_cyclic, n)
 
 
 def is_cyclic_number(n: int) -> bool:
     """gcd(phi(n), n) = 1 (every group of such order is cyclic)."""
-    _check_n(n)
-    return gcd(classical_phi_from_factors(factorize(n).factors), n) == 1
+    return _decide(_cyclic, n)
 
 
 def is_g_lehmer(n: int) -> bool:
     """Composite n with gaussian_phi(n) dividing F(n)."""
-    _check_n(n)
-    fac = factorize(n)
-    if _is_prime_power(fac.factors) and fac.factors[0][1] == 1:
-        return False
-    return script_F(n) % gaussian_phi_from_factors(fac.factors) == 0
-
-
-def _g_lehmer_from_factors(n: int, factors) -> bool:
-    if len(factors) == 1 and factors[0][1] == 1:
-        return False
-    return script_F(n) % gaussian_phi_from_factors(factors) == 0
+    return _decide(_g_lehmer, n)
 
 
 def phi_power_congruence(n: int) -> bool:
     """gaussian_phi(n) ** gaussian_phi(n) = 1 mod n."""
-    _check_n(n)
-    P = gaussian_phi_from_factors(factorize(n).factors)
-    return pow(P % n, P, n) == 1 % n
+    return _decide(_phi_power_congruence, n)
 
 
 def lambda_power_congruence(n: int) -> bool:
     """gaussian_lambda(n) ** gaussian_lambda(n) = 1 mod n."""
-    _check_n(n)
-    L = gaussian_lambda_from_factors(factorize(n).factors)
-    return pow(L % n, L, n) == 1 % n
+    return _decide(_lambda_power_congruence, n)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +256,11 @@ def giuga_membership(n: int, cap: int = DEFAULT_GIUGA_CAP) -> bool:
     _check_n(n)
     if n > cap:
         raise ValueError(f"giuga cap exceeded: {n} > {cap}")
-    fac = factorize(n)
-    return _giuga_from_factors(n, fac.factors)
+    return giuga_from_factors(n, factorize(n).factors)
 
 
-def _giuga_from_factors(n: int, factors) -> bool:
+def giuga_from_factors(n: int, factors) -> bool:
+    """giuga_membership of n, given its factorization; no cap applies."""
     F = script_F(n)
     phis = [_gauss_phi_pp(p, k) for p, k in factors]
     total = 1
@@ -244,49 +289,24 @@ def is_r_williams(n: int, r: int) -> bool:
     _check_n(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    fac = factorize(n)
-    if _is_prime_power(fac.factors) and fac.factors[0][1] == 1:
-        return False
-    if not fac.is_squarefree:
-        return False
-    return _williams_divisibilities(n, fac.primes, r)
+    return _williams(n, factorize(n).factors, r)
 
 
-def _williams_divisibilities(n: int, primes, r: int) -> bool:
-    for p in primes:
-        if (n + r) % (p + r) != 0:
-            return False
-        d = p - r
-        if d == 0 or (n - r) % abs(d) != 0:
-            return False
-    return True
-
-
-def _r_williams_from_factors(n: int, factors, r: int) -> bool:
-    if len(factors) == 1 and factors[0][1] == 1:
-        return False
-    if any(k > 1 for _, k in factors):
-        return False
-    return _williams_divisibilities(n, [p for p, _ in factors], r)
-
-
-def carmichael_and_g_carmichael_3mod4(n: int) -> bool:
+def carmichael_and_g_carmichael_3mod4(n: int, factors=None) -> bool:
     """For n = 3 mod 4: Carmichael and G-Carmichael simultaneously.
 
     Computed twice: directly, and through the equivalent condition
     "1-Williams with every prime factor = 3 mod 4".  A disagreement means
-    an implementation bug and raises ConsistencyError.
+    an implementation bug and raises ConsistencyError.  factors, when
+    given, is the factorization of n, which is then not recomputed.
     """
     _check_n(n)
     if n % 4 != 3:
         raise ValueError(f"argument must be 3 mod 4, got {n}")
-    fac = factorize(n)
-    direct = _carmichael_from_factors(n, fac.factors) and _g_carmichael_from_factors(
-        n, fac.factors
-    )
-    via_williams = _r_williams_from_factors(n, fac.factors, 1) and all(
-        p % 4 == 3 for p in fac.primes
-    )
+    if factors is None:
+        factors = factorize(n).factors
+    direct = _carmichael(n, factors) and _g_carmichael(n, factors)
+    via_williams = _williams(n, factors) and all(p % 4 == 3 for p, _ in factors)
     if direct != via_williams:
         raise ConsistencyError(
             f"n={n}: carmichael&g_carmichael={direct} but williams route={via_williams}"
@@ -313,17 +333,7 @@ class ClassificationReport:
     giuga_member: bool | None = None
     witnesses: dict = field(default_factory=dict)
 
-    FLAG_ORDER = (
-        "g_carmichael",
-        "carmichael",
-        "g_cyclic",
-        "cyclic",
-        "g_lehmer",
-        "phi_power_congruence",
-        "lambda_power_congruence",
-        "williams_1",
-        "giuga_member",
-    )
+    FLAG_ORDER = (*PREDICATES, "giuga_member")
 
 
 def classify(
@@ -331,48 +341,30 @@ def classify(
 ) -> ClassificationReport:
     """Evaluate every predicate at n; the Giuga sum only when requested.
 
-    The report enforces the structural implications by construction:
-    g_lehmer is derived from g_carmichael (Lehmer implies Carmichael here)
-    and the power congruences are combined with g_cyclic.
+    The flags come from PREDICATES.  The witness routes of g_carmichael
+    and carmichael are cross-checked against the table, and a disagreement
+    raises ConsistencyError.
     """
     _check_n(n)
-    fac = factorize(n)
-    factors = fac.factors
-    prime = _is_prime_power(factors) and factors[0][1] == 1
+    factors = factorize(n).factors
+    flags = {name: predicate(n, factors) for name, predicate in PREDICATES.items()}
 
     g_carm, witness = g_carmichael_witness(n)
-    if g_carm != _g_carmichael_from_factors(n, factors):
-        raise ConsistencyError(f"g_carmichael routes disagree at {n}")
     carm, c_witness = carmichael_witness(n)
-    witnesses = dict(witness)
-    for key, val in c_witness.items():
-        witnesses.setdefault(key, val)
-
-    F = script_F(n)
-    P = gaussian_phi_from_factors(factors)
-    L = gaussian_lambda_from_factors(factors)
-    g_cyc = gcd(P, n) == 1
-    g_lehmer = g_carm and F % P == 0
-    phi_cong = g_cyc and pow(P % n, P, n) == 1 % n
-    lambda_cong = g_cyc and pow(L % n, L, n) == 1 % n
+    if (g_carm, carm) != (flags["g_carmichael"], flags["carmichael"]):
+        raise ConsistencyError(f"witness routes disagree with the predicate table at {n}")
+    witnesses = {**c_witness, **witness}
 
     giuga = None
     if with_giuga:
         if n > giuga_cap:
             raise ValueError(f"giuga cap exceeded: {n} > {giuga_cap}")
-        giuga = _giuga_from_factors(n, factors)
+        giuga = giuga_from_factors(n, factors)
 
     return ClassificationReport(
         n=n,
-        is_prime=prime,
-        g_carmichael=g_carm,
-        carmichael=carm,
-        g_cyclic=g_cyc,
-        cyclic=gcd(classical_phi_from_factors(factors), n) == 1,
-        g_lehmer=g_lehmer,
-        phi_power_congruence=phi_cong,
-        lambda_power_congruence=lambda_cong,
-        williams_1=_r_williams_from_factors(n, factors, 1),
+        is_prime=_is_prime(factors),
+        **flags,
         giuga_member=giuga,
         witnesses=witnesses,
     )

@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .census import (
     CensusTable,
@@ -20,6 +21,7 @@ from .census import (
     VerificationReport,
     CLASSIFIER_NAMES,
     available_cpus,
+    canonical_json,
     joint_census,
     record_line,
     search_classifier,
@@ -131,13 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _render_report(report: ClassificationReport, fmt: str) -> str:
     if fmt == "records":
-        import json
-
-        rec = {"kind": "classification", "n": report.n, "is_prime": report.is_prime}
-        for name in ClassificationReport.FLAG_ORDER:
-            rec[name] = getattr(report, name)
-        rec["witnesses"] = report.witnesses
-        return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json({"kind": "classification", **asdict(report)}) + "\n"
     lines = [f"n: {report.n}", f"is_prime: {str(report.is_prime).lower()}"]
     for name in ClassificationReport.FLAG_ORDER:
         value = getattr(report, name)
@@ -180,18 +176,7 @@ def _render_table(table: CensusTable, query, fmt: str) -> str:
 
 def _render_verification(report: VerificationReport, fmt: str) -> str:
     if fmt == "records":
-        import json
-
-        rec = {
-            "kind": "verification",
-            "source": report.source,
-            "total_read": report.total_read,
-            "filtered": report.filtered,
-            "passing": list(report.passing),
-            "invalid_base": report.invalid_base,
-            "malformed_lines": report.malformed_lines,
-        }
-        return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json({"kind": "verification", **asdict(report)}) + "\n"
     lines = [
         f"source: {report.source}",
         f"total_read: {report.total_read}",
@@ -210,7 +195,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    workers = args.workers if args.workers else _default_workers()
+    workers = args.workers if args.workers is not None else _default_workers()
     query = RangeQuery(args.lo, args.hi, args.filter, workers)
     progress = _Progress(f"search {args.classifier}", args.quiet)
     if args.classifier == "gfp":
@@ -230,7 +215,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    workers = args.workers if args.workers else _default_workers()
+    workers = args.workers if args.workers is not None else _default_workers()
     if args.gaussian_bases is None:
         gbases = TABLE_GAUSSIAN_BASES
     else:

@@ -1,3 +1,4 @@
+import importlib
 import logging
 import os
 import tracemalloc
@@ -28,6 +29,7 @@ from gausspseudo.census import (
     verify_external_list,
 )
 from gausspseudo.classify import (
+    ConsistencyError,
     giuga_membership,
     is_carmichael,
     is_g_carmichael,
@@ -252,6 +254,33 @@ class TestSearchClassifier:
         assert got == [15, 143, 3599, 5183]
         assert got == twin_pair_products_below(10_000)
 
+    @pytest.mark.parametrize("residue_filter", [None, (4, 3), (3, 0), (3, 2), (5, 4)])
+    def test_twin_pair_windows_below_1e5(self, residue_filter):
+        hits = twin_pair_products_below(100_000)
+        windows = [(lo, lo + 7919) for lo in range(2, 100_000 - 7919, 4001)]
+        for v in hits:
+            windows += [(v, v + 1), (v - 1, v), (v + 1, v + 2000), (max(2, v - 500), v + 1)]
+        m, r = residue_filter or (1, 0)
+        for lo, hi in windows:
+            got = search_classifier(RangeQuery(lo, hi, residue_filter), "twin_pair_product")
+            assert got == [v for v in hits if lo <= v < hi and v % m == r], (lo, hi)
+
+    def test_twin_pair_window_near_2_62(self):
+        # p = 2147483867 = 3 (mod 4) and p + 2 are prime; the search must not
+        # walk every p from 3 up to 2**31
+        n = 2147483867 * 2147483869
+        lo, hi = n - 300, n + 300
+        expected = [
+            p * (p + 2)
+            for p in range(isqrt(lo) - 2, isqrt(hi) + 1)
+            if p % 4 == 3
+            and lo <= p * (p + 2) < hi
+            and trial_division_is_prime(p)
+            and trial_division_is_prime(p + 2)
+        ]
+        assert expected == [n]
+        assert search_classifier(RangeQuery(lo, hi), "twin_pair_product") == expected
+
     def test_congruence_exception_includes_399(self):
         got = search_classifier(RangeQuery(2, 400), "congruence_exception")
         assert got == [77, 119, 133, 187, 217, 253, 287, 301, 319, 323, 341, 391, 399]
@@ -462,6 +491,15 @@ class TestIntersectionScan:
         with pytest.raises(ValueError):
             carmichael_intersection_scan(RangeQuery(2, 100, (4, 1)))
         assert carmichael_intersection_scan(RangeQuery(2, 100, (4, 3))) == []
+
+    def test_lying_williams_route_raises(self, monkeypatch):
+        # 4371 = 3 * 31 * 47 is a base-2 pseudoprime = 3 mod 4 whose primes
+        # are all 3 mod 4, so a Williams route that accepts every n disagrees
+        # with the direct route there
+        classify = importlib.import_module("gausspseudo.classify")
+        monkeypatch.setattr(classify, "_williams", lambda n, factors, r=1: True)
+        with pytest.raises(ConsistencyError, match="n=4371"):
+            carmichael_intersection_scan(RangeQuery(2, 5000, workers=1))
 
 
 class TestVerifyExternalList:

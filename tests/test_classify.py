@@ -1,9 +1,18 @@
+from functools import lru_cache
+from math import gcd, lcm
+
 import pytest
 from oracle_utils import (
     brute_giuga_member,
+    brute_group,
+    brute_max_order,
+    classical_lambda_brute,
+    classical_phi_brute,
     composite_sieve,
     factors_from_spf,
+    group_exponent,
     naive_script_F,
+    norm_one_group,
     primes_below,
     smallest_prime_factor_sieve,
     trial_division_factorize,
@@ -14,7 +23,11 @@ from gausspseudo.arith import (
     gaussian_lambda_from_factors,
     gaussian_phi_from_factors,
 )
+from gausspseudo.census import _CLASS_SEARCHES
 from gausspseudo.classify import (
+    PREDICATES,
+    ClassificationReport,
+    ConsistencyError,
     carmichael_and_g_carmichael_3mod4,
     classify,
     giuga_membership,
@@ -224,3 +237,77 @@ class TestClassifyReport:
                 assert r.g_cyclic
             if r.williams_1:
                 assert r.carmichael
+
+
+@lru_cache(maxsize=None)
+def _prime_power_orders(q):
+    """(phi_G, lambda_G, phi, lambda) of the prime power q, by enumeration."""
+    group = norm_one_group(q)
+    return len(group), group_exponent(q, group), classical_phi_brute(q), classical_lambda_brute(q)
+
+
+def _oracle_orders(n):
+    """The four group functions of n, composed over its prime powers by the CRT."""
+    phi_g = lam_g = phi = lam = 1
+    for p, k in trial_division_factorize(n):
+        a, b, c, d = _prime_power_orders(p**k)
+        phi_g, lam_g, phi, lam = phi_g * a, lcm(lam_g, b), phi * c, lcm(lam, d)
+    return phi_g, lam_g, phi, lam
+
+
+def _oracle_flags(n):
+    """Every class of the predicate table, from the definitions in the paper
+    and tests/oracle_utils.py only."""
+    fac = trial_division_factorize(n)
+    composite = not (len(fac) == 1 and fac[0][1] == 1)
+    squarefree = all(k == 1 for _, k in fac)
+    F = naive_script_F(n)
+    phi_g, lam_g, phi, lam = _oracle_orders(n)
+    return {
+        "g_carmichael": composite and F % lam_g == 0,
+        # Carmichael's criterion, independent of Korselt's
+        "carmichael": composite and (n - 1) % lam == 0,
+        "g_cyclic": gcd(phi_g, n) == 1,
+        "cyclic": gcd(phi, n) == 1,
+        "g_lehmer": composite and F % phi_g == 0,
+        "phi_power_congruence": pow(phi_g, phi_g, n) == 1,
+        "lambda_power_congruence": pow(lam_g, lam_g, n) == 1,
+        "williams_1": composite
+        and squarefree
+        and all((n + 1) % (p + 1) == 0 and (n - 1) % (p - 1) == 0 for p, _ in fac),
+        # the census rules built on the table
+        "g_lehmer_multi": composite and F % phi_g == 0 and len(fac) >= 3,
+        "congruence_exception": gcd(phi_g, n) == 1
+        and pow(phi_g, phi_g, n) != 1
+        and pow(lam_g, lam_g, n) != 1,
+    }
+
+
+class TestPredicateTable:
+    def test_report_order(self):
+        assert ClassificationReport.FLAG_ORDER == (*PREDICATES, "giuga_member")
+
+    def test_witness_cross_check_is_live(self, monkeypatch):
+        monkeypatch.setitem(PREDICATES, "g_carmichael", lambda n, factors: False)
+        with pytest.raises(ConsistencyError):
+            classify(15)
+
+    def test_crt_composition_against_whole_group(self):
+        for n in range(2, 120):
+            phi_g, lam_g, phi, lam = _oracle_orders(n)
+            assert phi_g == len(brute_group(n)), n
+            assert lam_g == brute_max_order(n), n
+            assert phi == classical_phi_brute(n), n
+            assert lam == classical_lambda_brute(n), n
+
+    def test_every_entry_against_oracle_to_2000(self):
+        rules = {
+            **PREDICATES,
+            "g_lehmer_multi": _CLASS_SEARCHES["g_lehmer"].predicate,
+            "congruence_exception": _CLASS_SEARCHES["congruence_exception"].predicate,
+        }
+        for n in range(2, 2000):
+            want = _oracle_flags(n)
+            factors = factorize(n).factors
+            got = {name: rule(n, factors) for name, rule in rules.items()}
+            assert got == want, n

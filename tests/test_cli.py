@@ -94,6 +94,19 @@ class TestSearchCommand:
         assert '"values":[15,143]' in out
 
 
+class TestWorkersOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [("search", "g_lehmer", "--hi", "1000"), ("table", "--limit", "1000")],
+    )
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_rejected(self, capsys, argv, workers):
+        code, out, err = run_cli(capsys, *argv, "--workers", workers, "--quiet")
+        assert code == 2
+        assert out == ""
+        assert err == "error: workers must be positive\n"
+
+
 class TestTableCommand:
     def test_small_table_csv(self, capsys):
         code, out, _ = run_cli(
@@ -175,7 +188,7 @@ class TestWorkersDefault:
 
 
 # Tokens for the in-process fuzz of main(): valid and invalid values of
-# every argument.  Ranges stay below 10**4 and --workers at 1, 2 or text,
+# every argument.  Ranges stay below 10**4 and --workers at 0, 1, 2 or text,
 # so every example runs in a fraction of a second.
 _NUMBERS = st.integers(2, 10**4).map(str) | st.sampled_from(
     ("0", "1", "-7", "1e3", "abc", "", "0x1f", " 12", "\u0661\u0665", "9223372036854775807",
@@ -186,7 +199,7 @@ _FILTERS = st.sampled_from(("4,3", "4,1", "2,0", "3,2", "8,5", "6,3", "1,0", "4,
                             "0,0", "-4,1", "4,-1", "4", "a,b", "4,3,1", ""))
 _VALID_BASES = st.sampled_from(("1+2i", "1-2i", "1+1i", "3+0i", "0+3i", "-2+5i", "2+2i", "0+0i"))
 _BASES = _VALID_BASES | st.sampled_from(("i", "1+2j", "1 + 2i", "abc", "", "99999999999999999999+1i"))
-_WORKERS = st.sampled_from(("1", "2", "two", "", "1.5"))
+_WORKERS = st.sampled_from(("1", "2", "0", "two", "", "1.5"))
 _FORMATS = st.sampled_from(("plain", "csv", "records", "json", ""))
 _BASE_LISTS = st.lists(_BASES, max_size=3).map(",".join)
 _INT_LISTS = st.lists(st.sampled_from(("2", "3", "10", "1", "0", "-3", "x", "9223372036854775808")),
