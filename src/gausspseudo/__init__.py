@@ -53,6 +53,7 @@ from .fermat import (
     classical_fermat_test,
     gaussian_fermat_im_test,
     gaussian_fermat_ratio_test,
+    gaussian_fermat_test,
     is_fermat_psp,
     is_gfp,
 )

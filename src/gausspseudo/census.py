@@ -51,7 +51,7 @@ from .classify import (
     giuga_from_factors,
     power_congruence,
 )
-from .fermat import TestOutcome, gaussian_fermat_ratio_test
+from .fermat import TestOutcome, gaussian_fermat_test
 from .residues import GaussianBase, _pow_components
 
 log = logging.getLogger(__name__)
@@ -453,7 +453,7 @@ def _joint_kernel(task):
     for n, mask in _psp_mask_kernel((lo, hi, residue_filter, base_orders)):
         columns = [j for j in range(len(base_orders)) if mask >> j & 1]
         for row, z in zip(counts, gaussian_bases):
-            if gaussian_fermat_ratio_test(n, z) is TestOutcome.PASS:
+            if gaussian_fermat_test(n, z) is TestOutcome.PASS:
                 for j in columns:
                     row[j] += 1
     return counts
@@ -513,14 +513,8 @@ def _gfp_large_prime_bounds(z: GaussianBase, hi: int) -> tuple:
     return tuple(rules)
 
 
-def _gfp_confirm(z: GaussianBase, n: int) -> bool:
-    """The exact ratio test (z/conj(z))^F(n) = 1 (mod n); False when n
-    shares a factor with z*conj(z)."""
-    znorm = z.norm()
-    if gcd(n, znorm) != 1:
-        return False
-    ra, rb = _ratio_components(z.re, z.im, znorm, n)
-    return _pow_components(ra, rb, script_F(n), n) == (1, 0)
+def _passes_gfp(z: GaussianBase, n: int) -> bool:
+    return gaussian_fermat_test(n, z) is TestOutcome.PASS
 
 
 def _korselt_orders(group_order, lo: int, hi: int):
@@ -684,11 +678,11 @@ def search_gfp(
     of z/conj(z) modulo q, computed once per query, must divide F(n) for
     every multiple n of q, and n = kP with a large prime P fails when P
     exceeds |Im(z^F(k))| > 0.  The survivors are confirmed by the exact
-    ratio test.
+    test, fermat.gaussian_fermat_test.
     """
     qs, ds = _gfp_orders(z, query.lo, query.hi)
     bounds = _gfp_large_prime_bounds(z, query.hi)
-    confirm = partial(_gfp_confirm, z)
+    confirm = partial(_passes_gfp, z)
     tasks = [
         (lo, hi, query.residue_filter, qs, ds, bounds, confirm)
         for lo, hi in _blocks(query.lo, query.hi, block_size)
@@ -869,7 +863,7 @@ def verify_external_list(
             if residue_filter is not None and n % residue_filter[0] != residue_filter[1]:
                 continue
             filtered += 1
-            outcome = gaussian_fermat_ratio_test(n, z)
+            outcome = gaussian_fermat_test(n, z)
             if outcome is TestOutcome.INVALID_BASE:
                 invalid += 1
             elif outcome is TestOutcome.PASS:

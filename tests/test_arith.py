@@ -106,7 +106,7 @@ def prime_from(n):
 NEAR_BOUNDS = st.sampled_from((1 << 10, 10**6)).flatmap(
     lambda b: st.integers(b, b + 3_000)
 )
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=40)
 
 
 class TestFactorizeProperties:

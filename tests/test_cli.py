@@ -270,7 +270,7 @@ def fuzz_files(tmp_path_factory):
 
 
 class TestMainFuzz:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(argv=_argv())
     def test_exit_code_and_no_traceback(self, argv, fuzz_files):
         argv = [

@@ -1,5 +1,9 @@
+from math import gcd
+
 import pytest
-from oracle_utils import composite_sieve, primes_below
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_utils import composite_sieve, gpow, primes_below
 
 from gausspseudo.fermat import (
     BASE_PANEL,
@@ -9,6 +13,7 @@ from gausspseudo.fermat import (
     classical_fermat_test,
     gaussian_fermat_im_test,
     gaussian_fermat_ratio_test,
+    gaussian_fermat_test,
     is_fermat_psp,
     is_gfp,
 )
@@ -124,3 +129,101 @@ class TestBaseNormEquivalence:
             for n in range(2, 5000):
                 if flags[n]:
                     assert is_gfp(n, z) == is_gfp(n, w), (n, str(z))
+
+
+CANDIDATES = st.integers(2, (1 << 62) - 1)
+COMPONENTS = st.integers(-(1 << 31), 1 << 31)
+BASES = st.tuples(COMPONENTS, COMPONENTS).filter(lambda t: t != (0, 0)).map(
+    lambda t: GaussianBase(*t)
+)
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def assert_three_forms_agree(n, z):
+    main = gaussian_fermat_test(n, z)
+    assert main is gaussian_fermat_ratio_test(n, z), (n, str(z))
+    assert main is gaussian_fermat_im_test(n, z), (n, str(z))
+    return main
+
+
+@st.composite
+def shares_factor_with_ab(draw):
+    """Odd n and a valid base z = a+bi where some prime p divides n and a
+    (or b) but not z*conj(z): the V-chain would lose the factor p."""
+    p = draw(st.sampled_from(ODD_PRIMES))
+    a = p * draw(st.integers(1, 1 << 20)) * draw(st.sampled_from((1, -1)))
+    b = draw(st.integers(-(1 << 31), 1 << 31).filter(lambda b: b % p))
+    k = draw(st.integers(1, (1 << 58) // p).map(lambda k: 2 * k + 1))
+    z = GaussianBase(*draw(st.sampled_from(((a, b), (b, a)))))
+    while gcd(k, z.norm()) > 1:
+        k //= gcd(k, z.norm())
+    return p * k, z
+
+
+@st.composite
+def shares_factor_with_norm(draw):
+    z = draw(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)))
+    z = GaussianBase(*z) if sum(map(abs, z)) > 1 else GaussianBase(1, 2)
+    divisor = draw(st.sampled_from([d for d in range(2, 50) if z.norm() % d == 0] or [z.norm()]))
+    return divisor * draw(st.integers(1, (1 << 62) // (2 * divisor))), z
+
+
+class TestMainPathAgreement:
+    """gaussian_fermat_test against the ratio form and the imaginary form,
+    with a strategy forcing each branch of the main path."""
+
+    @settings(max_examples=300)
+    @given(CANDIDATES, BASES)
+    def test_random_n_and_base(self, n, z):
+        assert_three_forms_agree(n, z)
+
+    @settings(max_examples=100)
+    @given(CANDIDATES.map(lambda n: n & -2 or 2), BASES)
+    def test_even_n(self, n, z):
+        assert_three_forms_agree(n, z)
+
+    @settings(max_examples=100)
+    @given(shares_factor_with_ab())
+    def test_n_shares_a_factor_with_ab(self, case):
+        n, z = case
+        assert n % 2 and gcd(n, z.re * z.im) > 1 and gcd(n, z.norm()) == 1
+        assert_three_forms_agree(n, z)
+
+    @settings(max_examples=100)
+    @given(shares_factor_with_norm())
+    def test_n_shares_a_factor_with_the_norm(self, case):
+        n, z = case
+        assert assert_three_forms_agree(n, z) is TestOutcome.INVALID_BASE
+
+    @settings(max_examples=100)
+    @given(CANDIDATES, COMPONENTS.filter(bool), st.booleans())
+    def test_real_or_imaginary_base(self, n, c, imaginary):
+        assert_three_forms_agree(n, GaussianBase(0, c) if imaginary else GaussianBase(c, 0))
+
+    @settings(max_examples=100)
+    @given(CANDIDATES, st.sampled_from((GaussianBase(1, 1), GaussianBase(2, 2))))
+    def test_unit_ratio_a_root_of_unity(self, n, z):
+        assert_three_forms_agree(n, z)
+
+    def test_exhaustive_small_n(self):
+        # against the imaginary form, the faster cross-check; the forms
+        # themselves agree in TestFormEquivalence
+        extra = [(3, 0), (0, 3), (2, 2), (-2, 5), (5, -3)]
+        bases = EQUIVALENCE_PANEL + tuple(GaussianBase(a, b) for a, b in extra)
+        for z in bases:
+            for n in range(2, 20_000):
+                assert gaussian_fermat_test(n, z) is gaussian_fermat_im_test(n, z), (n, str(z))
+
+
+class TestFrobenius:
+    """z^p = conj(z) (mod p) for p = 3 (mod 4) and z^p = z (mod p) for
+    p = 1 (mod 4), by the naive ladder of oracle_utils.  Either way
+    w = z/conj(z) has w^F(p) = 1, so the main path never fails a prime."""
+
+    def test_frobenius_on_odd_primes(self):
+        for p in primes_below(20_000)[1:]:
+            for z in BASE_PANEL:
+                a, b = z.re % p, z.im % p
+                expected = (a, -b % p) if p % 4 == 3 else (a, b)
+                assert gpow(a, b, p, p) == expected, (p, str(z))
+                assert gaussian_fermat_test(p, z) is not TestOutcome.FAIL, (p, str(z))
