@@ -6,21 +6,23 @@ Ranges are split into fixed-size blocks scattered over worker processes,
 never more of them than the CPUs this process may run on; block results
 are merged in block order, so output is byte-identical for any worker
 count.  Primality inside a block comes from a segmented sieve below 2**32
-and deterministic Miller-Rabin above; factorizations come from a batched
-division sieve below 2**32 and from per-n factorization above.
+and deterministic Miller-Rabin above; factorizations and (phi_G, lambda_G)
+come from batched sieves below 2**32 and from per-n factorization above.
 
 Every search is a sieve followed by exact confirmation.  The joint table
 (per integer base a), the Gaussian pseudoprime search (base z) and the
 Korselt classes g_carmichael and g_lehmer sieve each block by a divisor
 that F(n) (n-1 for the table) must have for every prime power q | n: the
 order of a or of z/conj(z) modulo q, or the group exponent or group order
-of q.  They also rule out n = kP with a large prime P.  The exact test,
-or the factorization and the class predicate, then runs on a few percent
-of the composites only.  The other classes are decided from the
-factorization of every n of the searched progression.  Membership comes
-from classify.PREDICATES plus two search rules (g_lehmer's three prime
-factors, congruence_exception).  All kernels are pure; a cancelled run
-simply never returns a partial result.
+of q.  They also rule out n = kP with a large prime P; carmichael and
+williams_1, all base-2 Fermat pseudoprimes, take the table's sieve for
+base 2.  The exact test, or the factorization and the class predicate,
+then runs on a few percent of the composites only.  g_cyclic and
+congruence_exception are rules on (n, phi_G(n), lambda_G(n)), which a
+multiplicative sieve gives without factoring n.  Only giuga factors every
+n of the searched progression.  Membership comes from classify plus two
+search rules (g_lehmer's three prime factors, congruence_exception).  All
+kernels are pure; a cancelled run simply never returns a partial result.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from .arith import (
@@ -48,6 +50,7 @@ from .classify import (
     DEFAULT_GIUGA_CAP,
     PREDICATES,
     carmichael_and_g_carmichael_3mod4,
+    g_cyclic_from_orders,
     giuga_from_factors,
     power_congruence,
 )
@@ -186,11 +189,11 @@ def _run_blocks(kernel, tasks, workers: int, progress=None):
 
 
 # ---------------------------------------------------------------------------
-# Factor sieve for predicate scans that need every factorization
+# Factor and totient sieves for scans that decide every n
 # ---------------------------------------------------------------------------
 
 def _factor_batch(start: int, hi: int, m: int):
-    """Factorizations of n = start, start + m, ... below hi.
+    """One column: the factorizations of n = start, start + m, ... below hi.
 
     Below the sieve cutoff a batched division sieve over the primes up to
     sqrt(hi) does the work, visiting only the terms each prime divides;
@@ -198,7 +201,7 @@ def _factor_batch(start: int, hi: int, m: int):
     primes near 2**63), so each n is factored on its own.
     """
     if hi > _SIEVE_CUTOFF:
-        return [_factorize(n).factors for n in range(start, hi, m)]
+        return ([_factorize(n).factors for n in range(start, hi, m)],)
     rem = list(range(start, hi, m))
     size = len(rem)
     factors = [[] for _ in range(size)]
@@ -218,7 +221,36 @@ def _factor_batch(start: int, hi: int, m: int):
     for idx in range(size):
         if rem[idx] > 1:
             factors[idx].append((rem[idx], 1))
-    return factors
+    return (factors,)
+
+
+def _totient_batch(start: int, hi: int, m: int):
+    """Columns phi_G(n), lambda_G(n) for the odd n = start, start + m, ... < hi.
+
+    Below the sieve cutoff a multiplicative sieve visits, for each prime
+    power q = p**j with an odd prime p <= sqrt(hi), the terms q divides:
+    phi gains the factor F(p) = p - (-1/p) at j = 1 and p above, lambda
+    becomes the lcm with lambda_G(q) = p**(j-1) * F(p).  What is left of n
+    is 1 or a prime.  Above the cutoff each n is factored.
+    """
+    if hi > _SIEVE_CUTOFF:
+        # phi_G(p**k) = lambda_G(p**k) = p**(k-1) * F(p) for an odd prime p
+        ts = [[p ** (k - 1) * script_F(p) for p, k in _factorize(n).factors]
+              for n in range(start, hi, m)]
+        return [prod(t) for t in ts], [lcm(*t) for t in ts]
+    rem = list(range(start, hi, m))
+    phi, lam = [1] * len(rem), [1] * len(rem)
+    for p in _base_primes(isqrt(hi - 1) + 1)[1:]:
+        q = p
+        f = t = script_F(p)  # phi_G(q) / phi_G(q / p) and lambda_G(q), q = p**j
+        while q < hi and (found := _class_in_progression(start, m, 0, q)):
+            i, step = found
+            rem[i::step] = [v // p for v in rem[i::step]]
+            phi[i::step] = [x * f for x in phi[i::step]]
+            lam[i::step] = [lcm(x, t) for x in lam[i::step]]
+            q, f, t = q * p, p, t * p
+    last = [r + 1 if r % 4 == 3 else max(r - 1, 1) for r in rem]  # F(r), or 1 for r = 1
+    return [x * y for x, y in zip(phi, last)], map(lcm, lam, last)
 
 
 # ---------------------------------------------------------------------------
@@ -328,43 +360,29 @@ def _g_lehmer_multi(n: int, factors) -> bool:
     return len(factors) >= 3 and PREDICATES["g_lehmer"](n, factors)
 
 
-def _congruence_exception(n: int, factors) -> bool:
-    # G-cyclic, and neither power congruence holds: phi_G(n) is computed
-    # once, lambda_G(n) only for G-cyclic n
-    P = gaussian_phi_from_factors(factors)
-    return (
-        gcd(P, n) == 1
-        and not power_congruence(P, n)
-        and not power_congruence(gaussian_lambda_from_factors(factors), n)
+def _congruence_exception(n: int, phi: int, lam: int) -> bool:
+    # G-cyclic, and neither power congruence holds
+    return g_cyclic_from_orders(n, phi, lam) and not (
+        power_congruence(phi, n) or power_congruence(lam, n)
     )
 
 
-def _factored_kernel(task):
-    """Exact scan for classifiers decided by the factorization of every n
-    of the searched progression."""
+def _batch_kernel(batch, task):
+    """Exact scan that decides every n of the searched progression: batch
+    gives one column per argument of predicate after n (_factor_batch for
+    giuga, _totient_batch for the rules on phi_G and lambda_G)."""
     lo, hi, residue_filter, predicate = task
     m, r = residue_filter or (1, 0)
     hits = []
     for blo in range(lo, hi, _FACTOR_BATCH):
         bhi = min(blo + _FACTOR_BATCH, hi)
-        start = blo + (r - blo) % m
-        factors = _factor_batch(start, bhi, m)
-        hits += [n for n, f in zip(range(start, bhi, m), factors) if predicate(n, f)]
+        ns = range(blo + (r - blo) % m, bhi, m)
+        hits += compress(ns, map(predicate, ns, *batch(ns.start, bhi, m)))
     return hits
 
 
-def _carmichael_type_kernel(task):
-    """Prefiltered scan of odd n for carmichael, williams_1 and their 3 mod 4
-    intersection with g_carmichael: each implies a base-2 Fermat
-    pseudoprime, so one pow rules out nearly every n before it is factored."""
-    lo, hi, residue_filter, predicate = task
-    m, r = residue_filter or (1, 0)
-    flags = _composite_flags(lo, hi)
-    return [
-        n
-        for n in range(lo + (r - lo) % m, hi, m)
-        if flags[n - lo] and pow(2, n - 1, n) == 1 and predicate(n, _factorize(n).factors)
-    ]
+_factored_kernel = partial(_batch_kernel, _factor_batch)
+_totient_kernel = partial(_batch_kernel, _totient_batch)
 
 
 def _mask_orders(integer_bases, lo: int, hi: int):
@@ -442,6 +460,12 @@ def _psp_mask_kernel(task):
             if pow(a, n - 1, n) == 1:
                 masks[n] = masks.get(n, 0) | 1 << j
     return sorted(masks.items())
+
+
+def _base2_kernel(task):
+    """The base-2 Fermat pseudoprimes of _psp_mask_kernel that pass confirm(n)."""
+    lo, hi, residue_filter, base_orders, confirm = task
+    return [n for n, _ in _psp_mask_kernel((lo, hi, residue_filter, base_orders)) if confirm(n)]
 
 
 def _joint_kernel(task):
@@ -604,13 +628,14 @@ def _twin_pair_products(query: RangeQuery) -> list[int]:
 class _ClassSearch(NamedTuple):
     """How search_classifier finds one class.
 
-    kernel runs one block and predicate(n, factors) decides membership.
-    A Korselt class has a group_order, the arith function whose value at
-    each prime power q | n divides F(n) for every member n: _sieve_kernel
-    sieves by it and by the large-prime rule for cofactors up to kmax,
-    then confirms with predicate.  odd_only classes have no even member;
-    capped ones refuse ranges above the giuga cap.  kernel None is the
-    twin-prime enumeration.
+    kernel runs one block and predicate(n, factors) decides membership;
+    for _totient_kernel it is a rule(n, phi_G(n), lambda_G(n)).  A Korselt
+    class has a group_order, the arith function whose value at each prime
+    power q | n divides F(n) for every member n: _sieve_kernel sieves by it
+    and by the large-prime rule for cofactors up to kmax, then confirms
+    with predicate, as _base2_kernel does for base-2 pseudoprimes.  odd_only
+    classes have no even member; capped ones refuse ranges above the giuga
+    cap.  kernel None is the twin-prime enumeration.
     """
 
     kernel: object
@@ -622,28 +647,22 @@ class _ClassSearch(NamedTuple):
 
 
 # Every member of g_cyclic and congruence_exception has gcd(phi_G(n), n) = 1,
-# and phi_G(n) is even for every n >= 2.  No Carmichael or 1-Williams number
-# is even: p - 1 | n - 1 for an odd prime p | n.  Each kmax was the fastest on
-# windows of 2**16 in [2**23, 2**24): larger ones cost more in cofactor
-# codes than they save in factorizations.
+# and phi_G(n) is even for every n >= 2.  Carmichael and 1-Williams numbers
+# are odd base-2 pseudoprimes: p - 1 | n - 1 for all p | n, one p odd.  Each
+# kmax was the fastest on windows of 2**16 in [2**23, 2**24): larger ones
+# cost more in cofactor codes than they save in factorizations.
 _CLASS_SEARCHES = {
     "g_carmichael": _ClassSearch(
         _sieve_kernel, PREDICATES["g_carmichael"], gaussian_lambda_from_factors, kmax=128
     ),
-    "carmichael": _ClassSearch(
-        _carmichael_type_kernel, PREDICATES["carmichael"], odd_only=True
-    ),
-    "g_cyclic": _ClassSearch(_factored_kernel, PREDICATES["g_cyclic"], odd_only=True),
+    "carmichael": _ClassSearch(_base2_kernel, PREDICATES["carmichael"], odd_only=True),
+    "g_cyclic": _ClassSearch(_totient_kernel, g_cyclic_from_orders, odd_only=True),
     "g_lehmer": _ClassSearch(
         _sieve_kernel, _g_lehmer_multi, gaussian_phi_from_factors, kmax=24
     ),
-    "congruence_exception": _ClassSearch(
-        _factored_kernel, _congruence_exception, odd_only=True
-    ),
+    "congruence_exception": _ClassSearch(_totient_kernel, _congruence_exception, odd_only=True),
     "giuga": _ClassSearch(_factored_kernel, giuga_from_factors, capped=True),
-    "williams_1": _ClassSearch(
-        _carmichael_type_kernel, PREDICATES["williams_1"], odd_only=True
-    ),
+    "williams_1": _ClassSearch(_base2_kernel, PREDICATES["williams_1"], odd_only=True),
     "twin_pair_product": _ClassSearch(None),
 }
 
@@ -711,12 +730,12 @@ def search_classifier(
     for every prime power q | n; n = kP with a prime P > k + 2 fails both.
     About 3 percent (g_carmichael) and 1.3 percent (g_lehmer) of a window
     of 2**16 near 10**7 survive to be factored and decided.  'carmichael'
-    and 'williams_1' sieve by one base-2 Fermat test and confirm the few
-    survivors from their factorization.  The other classes are decided
-    exactly from the factorization of each n of the searched progression,
-    which a batched division sieve provides.  'g_cyclic', 'congruence_exception',
-    'carmichael' and 'williams_1' search the odd n only.  Membership is
-    decided by classify.PREDICATES (giuga: classify.giuga_from_factors).
+    and 'williams_1' factor and decide the base-2 Fermat pseudoprimes of
+    the joint table's sieve.  'g_cyclic' and 'congruence_exception' are
+    decided from phi_G(n) and lambda_G(n), which a multiplicative sieve
+    gives; only 'giuga' factors each n of the searched progression.  The
+    four search the odd n only.  Membership is decided by classify's
+    PREDICATES, g_cyclic_from_orders and giuga_from_factors.
     """
     spec = _CLASS_SEARCHES.get(which)
     if spec is None:
@@ -730,14 +749,14 @@ def search_classifier(
         residue_filter = _odd_filter(residue_filter)
         if residue_filter is None:
             return []
-    if spec.group_order is None:
-        params = (spec.predicate,)
+    confirm = partial(_factored_confirm, spec.predicate)
+    if spec.group_order is not None:
+        orders = _korselt_orders(spec.group_order, query.lo, query.hi)
+        params = (*orders, _korselt_bounds(spec.kmax), confirm)
+    elif spec.kernel is _base2_kernel:
+        params = (_mask_orders((2,), query.lo, query.hi), confirm)
     else:
-        params = (
-            *_korselt_orders(spec.group_order, query.lo, query.hi),
-            _korselt_bounds(spec.kmax),
-            partial(_factored_confirm, spec.predicate),
-        )
+        params = (spec.predicate,)
     tasks = [
         (lo, hi, residue_filter, *params)
         for lo, hi in _blocks(query.lo, query.hi, block_size)
@@ -803,11 +822,13 @@ def carmichael_intersection_scan(
     """
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
+    orders = _mask_orders((2,), query.lo, query.hi)
+    confirm = partial(_factored_confirm, carmichael_and_g_carmichael_3mod4)
     tasks = [
-        (lo, hi, (4, 3), carmichael_and_g_carmichael_3mod4)
+        (lo, hi, (4, 3), orders, confirm)
         for lo, hi in _blocks(query.lo, query.hi, block_size)
     ]
-    parts = _run_blocks(_carmichael_type_kernel, tasks, query.workers, progress)
+    parts = _run_blocks(_base2_kernel, tasks, query.workers, progress)
     return [n for part in parts for n in part]
 
 

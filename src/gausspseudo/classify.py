@@ -8,6 +8,7 @@ numbers, and an aggregate report.
 Each class is defined once, as predicate(n, factors) in PREDICATES, which
 the is_* functions, classify() and the census searches all evaluate; the
 witness routes of g_carmichael and carmichael are cross-checked against it.
+The census applies g_cyclic_from_orders, which the G-cyclic entry calls.
 """
 
 from __future__ import annotations
@@ -58,8 +59,14 @@ def _carmichael(n: int, factors) -> bool:
     return all(k == 1 for _, k in factors) and all((n - 1) % (p - 1) == 0 for p, _ in factors)
 
 
+def g_cyclic_from_orders(n: int, phi: int, lam: int) -> bool:
+    """G-cyclic from n, phi_G(n) and lambda_G(n), which a sieve can give."""
+    return gcd(phi, n) == 1
+
+
 def _g_cyclic(n: int, factors) -> bool:
-    return gcd(gaussian_phi_from_factors(factors), n) == 1
+    phi, lam = gaussian_phi_from_factors(factors), gaussian_lambda_from_factors(factors)
+    return g_cyclic_from_orders(n, phi, lam)
 
 
 def _cyclic(n: int, factors) -> bool:

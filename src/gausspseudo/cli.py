@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -242,10 +243,21 @@ def _cmd_verify(args) -> int:
     return 1 if report.passing else 0
 
 
+def _attach_base_values(argv) -> list[str]:
+    """'--base -2+5i' as '--base=-2+5i': argparse reads '-2+5i' as an option."""
+    out = []
+    for arg in argv:
+        if out[-1:] in (["--base"], ["--gaussian-bases"]) and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_base_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "classify": _cmd_classify,
         "search": _cmd_search,

@@ -12,6 +12,8 @@ from oracle_utils import (
     classical_phi_brute,
     element_order,
     factors_from_spf,
+    group_exponent,
+    norm_one_group,
     primes_below,
     smallest_prime_factor_sieve,
     trial_division_factorize,
@@ -186,6 +188,28 @@ class TestGaussianPhiLambda:
     def test_lambda_matches_max_order(self):
         for n in list(range(2, 130)) + [8, 16, 32, 64, 9, 27, 25, 49, 121, 169]:
             assert gaussian_lambda(n) == brute_max_order(n), n
+
+    def test_group_order_and_exponent_below_300(self):
+        for n in range(1, 300):
+            group = norm_one_group(n)
+            assert gaussian_phi(n) == len(group), n
+            assert gaussian_lambda(n) == group_exponent(n, group), n
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.one_of(
+            st.tuples(st.integers(1, (1 << 31) - 1), st.integers(1, (1 << 31) - 1)),
+            # m = 2**k, where the 2-adic formulas apply
+            st.tuples(
+                st.integers(0, 20).map(lambda k: 1 << k),
+                st.integers(0, (1 << 30) - 1).map(lambda x: 2 * x + 1),
+            ),
+        ).filter(lambda mn: gcd(*mn) == 1)
+    )
+    def test_multiplicative_over_coprime_pairs(self, mn):
+        m, n = mn
+        assert gaussian_phi(m * n) == gaussian_phi(m) * gaussian_phi(n)
+        assert gaussian_lambda(m * n) == lcm(gaussian_lambda(m), gaussian_lambda(n))
 
     def test_product_formula_with_beta(self):
         # Phi(n) = (2 if 4|n else 1) * n * prod(1 - beta(p)/p)

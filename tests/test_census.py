@@ -180,7 +180,9 @@ class TestGfpSieve:
         assert list(zip(qs, ds)) == expected
 
 
-SIEVED_CLASSES = ("g_carmichael", "g_lehmer", "g_cyclic", "congruence_exception")
+SIEVED_CLASSES = (
+    "g_carmichael", "g_lehmer", "g_cyclic", "congruence_exception", "carmichael", "williams_1"
+)
 CLASS_FILTERS = (None, (4, 1), (4, 3), (3, 2), (8, 5), (2, 0), (6, 3))
 
 
@@ -190,8 +192,9 @@ def naive_class_hits():
 
 
 class TestClassSieve:
-    """The Korselt sieve of g_carmichael / g_lehmer and the odd-only factor
-    batches of g_cyclic / congruence_exception against the predicates."""
+    """The Korselt sieve of g_carmichael / g_lehmer, the totient sieve of
+    g_cyclic / congruence_exception and the base-2 mask sieve of carmichael /
+    williams_1 against the predicates."""
 
     @pytest.mark.parametrize("which", SIEVED_CLASSES)
     def test_blocks_from_2_against_naive(self, which, naive_class_hits):
@@ -239,6 +242,48 @@ class TestClassSieve:
         before = factorize.cache_info().currsize
         search_classifier(RangeQuery(10**7, 10**7 + 20_000), which)
         assert factorize.cache_info().currsize == before
+
+
+class TestTotientBatch:
+    """(phi_G, lambda_G) of the totient sieve against the arith functions.
+    Searches cannot check lambda_G at p**j, j > 1: no odd n with a square
+    factor is G-cyclic."""
+
+    @staticmethod
+    def assert_batch(start, hi, m):
+        expected = [(gaussian_phi(n), gaussian_lambda(n)) for n in range(start, hi, m)]
+        assert list(zip(*census._totient_batch(start, hi, m))) == expected, (start, hi, m)
+
+    @pytest.mark.parametrize("residue_filter", CLASS_FILTERS)
+    def test_odd_progressions_from_3(self, residue_filter):
+        odd = census._odd_filter(residue_filter)
+        if odd is None:
+            assert residue_filter == (2, 0)
+            return
+        m, r = odd
+        self.assert_batch(3 + (r - 3) % m, SIEVE_LIMIT, m)
+
+    def test_window_near_2_23_with_square_factors(self):
+        lo = (1 << 23) + 3 * (1 << 19) + 77
+        hi = lo + (1 << 12)
+        shapes = set()
+        for n in range(lo, hi, 2):
+            (p, k), *rest = factorize(n).factors
+            if [j for _, j in rest] == [1] and rest[0][0] > isqrt(hi):
+                shapes.add((p == 3, k))
+        # p**2 * R with p >= 5 and 3**k * R with k = 2, 3, 4, R a prime cofactor
+        assert {(False, 2), (True, 2), (True, 3), (True, 4)} <= shapes
+        self.assert_batch(lo, hi, 2)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (census._SIEVE_CUTOFF - (1 << 12) + 1, census._SIEVE_CUTOFF),
+            (census._SIEVE_CUTOFF - 601, census._SIEVE_CUTOFF + 601),
+        ],
+    )
+    def test_windows_at_2_32(self, lo, hi):
+        self.assert_batch(lo, hi, 2)
 
 
 class TestSearchClassifier:
@@ -301,7 +346,7 @@ class TestSearchClassifier:
         got = search_classifier(RangeQuery(2, 2_000, (4, 3)), which)
         assert got == naive_classifier_scan(2, 2_000, which, (4, 3))
 
-    @pytest.mark.parametrize("which", ["g_carmichael", "g_cyclic", "g_lehmer"])
+    @pytest.mark.parametrize("which", SIEVED_CLASSES)
     @pytest.mark.parametrize(
         "lo, hi",
         [
@@ -332,6 +377,13 @@ class TestDeterminism:
             RangeQuery(2, 4_000, None, workers), "g_carmichael", block_size=512
         )
         assert base == multi
+
+    @pytest.mark.parametrize("which", ["g_cyclic", "congruence_exception", "carmichael", "giuga"])
+    def test_batch_and_mask_kernels_in_a_pool(self, which):
+        # their kernels and confirms are partials, sent to the workers by pickle
+        one = search_classifier(RangeQuery(2, 20_000), which, block_size=4096)
+        two = search_classifier(RangeQuery(2, 20_000, None, 2), which, block_size=4096)
+        assert one == two
 
     def test_gfp_worker_independence(self):
         one = search_gfp(RangeQuery(2, 4_000), Z12, block_size=256)

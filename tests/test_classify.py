@@ -301,13 +301,17 @@ class TestPredicateTable:
             assert lam == classical_lambda_brute(n), n
 
     def test_every_entry_against_oracle_to_2000(self):
-        rules = {
-            **PREDICATES,
-            "g_lehmer_multi": _CLASS_SEARCHES["g_lehmer"].predicate,
+        rules = {**PREDICATES, "g_lehmer_multi": _CLASS_SEARCHES["g_lehmer"].predicate}
+        # the census decides these from (phi_G, lambda_G): feed the oracle's
+        order_rules = {
+            "g_cyclic": _CLASS_SEARCHES["g_cyclic"].predicate,
             "congruence_exception": _CLASS_SEARCHES["congruence_exception"].predicate,
         }
         for n in range(2, 2000):
             want = _oracle_flags(n)
             factors = factorize(n).factors
             got = {name: rule(n, factors) for name, rule in rules.items()}
-            assert got == want, n
+            phi_g, lam_g = _oracle_orders(n)[:2]
+            got_orders = {name: rule(n, phi_g, lam_g) for name, rule in order_rules.items()}
+            assert got == {name: want[name] for name in rules}, n
+            assert got_orders == {name: want[name] for name in order_rules}, n

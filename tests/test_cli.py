@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 
 import pytest
@@ -64,6 +65,20 @@ class TestSearchCommand:
         )
         assert code == 0
         assert "143\n" in out
+
+    @pytest.mark.parametrize("base", ["-2+5i", "-1-1i"])
+    def test_negative_real_part_as_separate_value(self, capsys, base):
+        args = ["search", "gfp", "--hi", "2000", "--quiet"]
+        joined = run_cli(capsys, *args, f"--base={base}")
+        assert joined[0] == 0
+        assert run_cli(capsys, *args, "--base", base) == joined
+
+    def test_bad_negative_base_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "search", "gfp", "--hi", "100", "--base", "-2*5i")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith("cannot parse Gaussian base '-2*5i'; expected 'a+bi'")
 
     def test_gfp_requires_base(self, capsys):
         code, _, err = run_cli(capsys, "search", "gfp", "--hi", "100", "--quiet")
@@ -162,6 +177,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "passing: (none)" in out
 
+    def test_negative_real_part_as_separate_value(self, capsys, tmp_path):
+        f = tmp_path / "list.txt"
+        f.write_text("143\n341\n561\n")
+        args = ["verify", "--file", str(f), "--quiet"]
+        joined = run_cli(capsys, *args, "--base=-2+5i")
+        assert joined[0] in (0, 1)
+        assert run_cli(capsys, *args, "--base", "-2+5i") == joined
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "verify", "--file", str(tmp_path / "nope"), "--base", "1+2i"
@@ -197,7 +220,9 @@ _NUMBERS = st.integers(2, 10**4).map(str) | st.sampled_from(
 _BOUNDS = st.integers(-5, 10**4).map(str) | st.sampled_from(("", "x", "1.5", "1e3"))
 _FILTERS = st.sampled_from(("4,3", "4,1", "2,0", "3,2", "8,5", "6,3", "1,0", "4,4",
                             "0,0", "-4,1", "4,-1", "4", "a,b", "4,3,1", ""))
-_VALID_BASES = st.sampled_from(("1+2i", "1-2i", "1+1i", "3+0i", "0+3i", "-2+5i", "2+2i", "0+0i"))
+_VALID_BASES = st.sampled_from(
+    ("1+2i", "1-2i", "1+1i", "3+0i", "0+3i", "-2+5i", "-1-1i", "2+2i", "0+0i")
+)
 _BASES = _VALID_BASES | st.sampled_from(("i", "1+2j", "1 + 2i", "abc", "", "99999999999999999999+1i"))
 _WORKERS = st.sampled_from(("1", "2", "0", "two", "", "1.5"))
 _FORMATS = st.sampled_from(("plain", "csv", "records", "json", ""))
@@ -285,3 +310,175 @@ class TestMainFuzz:
                 code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue(), argv
+
+
+# Golden stdout: runs of main() whose stdout and exit code must not change.
+# Windows of 2**12 near 10**7, across 2**32 and near 2**62; there, the
+# classes that factor most n by rho search the middle 2**9 of the window.
+_GOLDEN_WINDOWS = {
+    "1e7": (10**7, 10**7 + (1 << 12)),
+    "2^32": ((1 << 32) - (1 << 11), (1 << 32) + (1 << 11)),
+    "2^62": ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11)),
+}
+_RHO_BOUND_AT_2_62 = ("g_carmichael", "g_cyclic", "g_lehmer", "congruence_exception")
+_GOLDEN_SEARCHES = {
+    **{which: [which] for which in CLASSIFIER_NAMES},
+    **{f"gfp {base}": ["gfp", f"--base={base}"] for base in ("1+2i", "3+0i", "-2+5i")},
+}
+
+
+def _golden_argv(key):
+    """The command line of one golden run: (search, window, filter, workers)
+    or ("table", limit, None, workers)."""
+    what, where, residue_filter, workers = key
+    if what == "table":
+        argv = ["table", "--limit", str(where)]
+    else:
+        lo, hi = _GOLDEN_WINDOWS[where]
+        if where == "2^62" and what in _RHO_BOUND_AT_2_62:
+            lo, hi = lo + (1 << 11) - (1 << 8), lo + (1 << 11) + (1 << 8)
+        argv = ["search", *_GOLDEN_SEARCHES[what], "--lo", str(lo), "--hi", str(hi)]
+    if residue_filter:
+        argv += ["--filter", residue_filter]
+    return argv + ["--workers", str(workers), "--quiet"]
+
+
+def _golden_digest(argv):
+    """First 16 hex digits of sha256(stdout + exit code) of main(argv)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return hashlib.sha256(f"{out.getvalue()}{code}".encode()).hexdigest()[:16]
+
+
+_GOLDEN_KEYS = [
+    (what, where, residue_filter, workers)
+    for where in _GOLDEN_WINDOWS
+    for what in _GOLDEN_SEARCHES
+    for residue_filter in (None, "4,3")
+    for workers in ((1,) if where == "2^62" else (1, 2))
+] + [("table", 300_000, None, 1), ("table", 300_000, None, 2)]
+
+# Recorded at commit 69bddf9, before the Gaussian totient sieve and the
+# base-2 mask sieve took over g_cyclic, congruence_exception, carmichael
+# and williams_1.
+_GOLDEN = {
+    ('g_carmichael', '1e7', None, 1): 'f16926a36093ed55',
+    ('g_carmichael', '1e7', None, 2): 'f16926a36093ed55',
+    ('g_carmichael', '1e7', '4,3', 1): '5feceb66ffc86f38',
+    ('g_carmichael', '1e7', '4,3', 2): '5feceb66ffc86f38',
+    ('carmichael', '1e7', None, 1): '5feceb66ffc86f38',
+    ('carmichael', '1e7', None, 2): '5feceb66ffc86f38',
+    ('carmichael', '1e7', '4,3', 1): '5feceb66ffc86f38',
+    ('carmichael', '1e7', '4,3', 2): '5feceb66ffc86f38',
+    ('g_cyclic', '1e7', None, 1): 'cbb06e0956fedeb2',
+    ('g_cyclic', '1e7', None, 2): 'cbb06e0956fedeb2',
+    ('g_cyclic', '1e7', '4,3', 1): '849206583d3a98c5',
+    ('g_cyclic', '1e7', '4,3', 2): '849206583d3a98c5',
+    ('g_lehmer', '1e7', None, 1): '5feceb66ffc86f38',
+    ('g_lehmer', '1e7', None, 2): '5feceb66ffc86f38',
+    ('g_lehmer', '1e7', '4,3', 1): '5feceb66ffc86f38',
+    ('g_lehmer', '1e7', '4,3', 2): '5feceb66ffc86f38',
+    ('congruence_exception', '1e7', None, 1): '4a98a7898a129971',
+    ('congruence_exception', '1e7', None, 2): '4a98a7898a129971',
+    ('congruence_exception', '1e7', '4,3', 1): 'b2f9416fd211bcfd',
+    ('congruence_exception', '1e7', '4,3', 2): 'b2f9416fd211bcfd',
+    ('giuga', '1e7', None, 1): 'd4735e3a265e16ee',
+    ('giuga', '1e7', None, 2): 'd4735e3a265e16ee',
+    ('giuga', '1e7', '4,3', 1): 'd4735e3a265e16ee',
+    ('giuga', '1e7', '4,3', 2): 'd4735e3a265e16ee',
+    ('williams_1', '1e7', None, 1): '5feceb66ffc86f38',
+    ('williams_1', '1e7', None, 2): '5feceb66ffc86f38',
+    ('williams_1', '1e7', '4,3', 1): '5feceb66ffc86f38',
+    ('williams_1', '1e7', '4,3', 2): '5feceb66ffc86f38',
+    ('twin_pair_product', '1e7', None, 1): '5feceb66ffc86f38',
+    ('twin_pair_product', '1e7', None, 2): '5feceb66ffc86f38',
+    ('twin_pair_product', '1e7', '4,3', 1): '5feceb66ffc86f38',
+    ('twin_pair_product', '1e7', '4,3', 2): '5feceb66ffc86f38',
+    ('gfp 1+2i', '1e7', None, 1): '82ede736df7fab4a',
+    ('gfp 1+2i', '1e7', None, 2): '82ede736df7fab4a',
+    ('gfp 1+2i', '1e7', '4,3', 1): '5feceb66ffc86f38',
+    ('gfp 1+2i', '1e7', '4,3', 2): '5feceb66ffc86f38',
+    ('gfp 3+0i', '1e7', None, 1): '73014412cc93c69f',
+    ('gfp 3+0i', '1e7', None, 2): '73014412cc93c69f',
+    ('gfp 3+0i', '1e7', '4,3', 1): 'fcff8b426118407d',
+    ('gfp 3+0i', '1e7', '4,3', 2): 'fcff8b426118407d',
+    ('gfp -2+5i', '1e7', None, 1): '59e04dc2edfdd1b9',
+    ('gfp -2+5i', '1e7', None, 2): '59e04dc2edfdd1b9',
+    ('gfp -2+5i', '1e7', '4,3', 1): '5feceb66ffc86f38',
+    ('gfp -2+5i', '1e7', '4,3', 2): '5feceb66ffc86f38',
+    ('g_carmichael', '2^32', None, 1): '21fea2db57c3110c',
+    ('g_carmichael', '2^32', None, 2): '21fea2db57c3110c',
+    ('g_carmichael', '2^32', '4,3', 1): '68c133d976a0c757',
+    ('g_carmichael', '2^32', '4,3', 2): '68c133d976a0c757',
+    ('carmichael', '2^32', None, 1): '5feceb66ffc86f38',
+    ('carmichael', '2^32', None, 2): '5feceb66ffc86f38',
+    ('carmichael', '2^32', '4,3', 1): '5feceb66ffc86f38',
+    ('carmichael', '2^32', '4,3', 2): '5feceb66ffc86f38',
+    ('g_cyclic', '2^32', None, 1): '40cb689e6118aa05',
+    ('g_cyclic', '2^32', None, 2): '40cb689e6118aa05',
+    ('g_cyclic', '2^32', '4,3', 1): 'b9ba9dc1acdaf8ce',
+    ('g_cyclic', '2^32', '4,3', 2): 'b9ba9dc1acdaf8ce',
+    ('g_lehmer', '2^32', None, 1): '68c133d976a0c757',
+    ('g_lehmer', '2^32', None, 2): '68c133d976a0c757',
+    ('g_lehmer', '2^32', '4,3', 1): '68c133d976a0c757',
+    ('g_lehmer', '2^32', '4,3', 2): '68c133d976a0c757',
+    ('congruence_exception', '2^32', None, 1): 'b505430e607d25b5',
+    ('congruence_exception', '2^32', None, 2): 'b505430e607d25b5',
+    ('congruence_exception', '2^32', '4,3', 1): 'c1cc727b081be3e1',
+    ('congruence_exception', '2^32', '4,3', 2): 'c1cc727b081be3e1',
+    ('giuga', '2^32', None, 1): 'd4735e3a265e16ee',
+    ('giuga', '2^32', None, 2): 'd4735e3a265e16ee',
+    ('giuga', '2^32', '4,3', 1): 'd4735e3a265e16ee',
+    ('giuga', '2^32', '4,3', 2): 'd4735e3a265e16ee',
+    ('williams_1', '2^32', None, 1): '5feceb66ffc86f38',
+    ('williams_1', '2^32', None, 2): '5feceb66ffc86f38',
+    ('williams_1', '2^32', '4,3', 1): '5feceb66ffc86f38',
+    ('williams_1', '2^32', '4,3', 2): '5feceb66ffc86f38',
+    ('twin_pair_product', '2^32', None, 1): '5feceb66ffc86f38',
+    ('twin_pair_product', '2^32', None, 2): '5feceb66ffc86f38',
+    ('twin_pair_product', '2^32', '4,3', 1): '5feceb66ffc86f38',
+    ('twin_pair_product', '2^32', '4,3', 2): '5feceb66ffc86f38',
+    ('gfp 1+2i', '2^32', None, 1): '1f54213c1c20f282',
+    ('gfp 1+2i', '2^32', None, 2): '1f54213c1c20f282',
+    ('gfp 1+2i', '2^32', '4,3', 1): '5feceb66ffc86f38',
+    ('gfp 1+2i', '2^32', '4,3', 2): '5feceb66ffc86f38',
+    ('gfp 3+0i', '2^32', None, 1): '774c10bb2225549e',
+    ('gfp 3+0i', '2^32', None, 2): '774c10bb2225549e',
+    ('gfp 3+0i', '2^32', '4,3', 1): '0093b78b81354f64',
+    ('gfp 3+0i', '2^32', '4,3', 2): '0093b78b81354f64',
+    ('gfp -2+5i', '2^32', None, 1): '21fea2db57c3110c',
+    ('gfp -2+5i', '2^32', None, 2): '21fea2db57c3110c',
+    ('gfp -2+5i', '2^32', '4,3', 1): '68c133d976a0c757',
+    ('gfp -2+5i', '2^32', '4,3', 2): '68c133d976a0c757',
+    ('g_carmichael', '2^62', None, 1): '24d31997061cf439',
+    ('g_carmichael', '2^62', '4,3', 1): '5feceb66ffc86f38',
+    ('carmichael', '2^62', None, 1): '5feceb66ffc86f38',
+    ('carmichael', '2^62', '4,3', 1): '5feceb66ffc86f38',
+    ('g_cyclic', '2^62', None, 1): '727f887e96137b5f',
+    ('g_cyclic', '2^62', '4,3', 1): '213ad4d6e3fa45ad',
+    ('g_lehmer', '2^62', None, 1): '5feceb66ffc86f38',
+    ('g_lehmer', '2^62', '4,3', 1): '5feceb66ffc86f38',
+    ('congruence_exception', '2^62', None, 1): '7e1269c9e782337f',
+    ('congruence_exception', '2^62', '4,3', 1): 'c975425eb340a770',
+    ('giuga', '2^62', None, 1): 'd4735e3a265e16ee',
+    ('giuga', '2^62', '4,3', 1): 'd4735e3a265e16ee',
+    ('williams_1', '2^62', None, 1): '5feceb66ffc86f38',
+    ('williams_1', '2^62', '4,3', 1): '5feceb66ffc86f38',
+    ('twin_pair_product', '2^62', None, 1): '5feceb66ffc86f38',
+    ('twin_pair_product', '2^62', '4,3', 1): '5feceb66ffc86f38',
+    ('gfp 1+2i', '2^62', None, 1): '24d31997061cf439',
+    ('gfp 1+2i', '2^62', '4,3', 1): '5feceb66ffc86f38',
+    ('gfp 3+0i', '2^62', None, 1): 'ed4018819b84f4e7',
+    ('gfp 3+0i', '2^62', '4,3', 1): '915b480b15c83af5',
+    ('gfp -2+5i', '2^62', None, 1): '24d31997061cf439',
+    ('gfp -2+5i', '2^62', '4,3', 1): '5feceb66ffc86f38',
+    ('table', 300000, None, 1): '2d1bab472405157c',
+    ('table', 300000, None, 2): '2d1bab472405157c',
+}
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("key", _GOLDEN_KEYS, ids=lambda key: " ".join(map(str, key)))
+    def test_stdout_and_exit_code_unchanged(self, key):
+        assert _golden_digest(_golden_argv(key)) == _GOLDEN[key], _golden_argv(key)
