@@ -5,9 +5,9 @@ of externally published pseudoprime lists.
 Ranges are split into fixed-size blocks scattered over worker processes,
 never more of them than the CPUs this process may run on; block results
 are merged in block order, so output is byte-identical for any worker
-count.  Primality inside a block comes from a segmented sieve below 2**32
-and deterministic Miller-Rabin above; factorizations and (phi_G, lambda_G)
-come from batched sieves below 2**32 and from per-n factorization above.
+count.  Primality, factorizations and (phi_G, lambda_G) inside a block
+come from sieves by the primes up to min(sqrt(hi), 2**16); above 2**32,
+Miller-Rabin and factorize settle only the n those primes leave open.
 
 Every search is a sieve followed by exact confirmation.  The joint table
 (per integer base a), the Gaussian pseudoprime search (base z) and the
@@ -131,18 +131,30 @@ def _base_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit + 1) if sieve[i])
 
 
+def _sieve_bound(hi: int) -> int:
+    """Sieves of n < hi strike with the primes up to this: sqrt(hi), at most 2**16."""
+    return min(isqrt(hi - 1) + 1, 1 << 16)
+
+
+_NOT = bytes([1]) + bytes(255)  # translate table: byte 0 -> 1, anything else -> 0
+
+
 def _composite_flags(lo: int, hi: int) -> bytearray:
-    """flags[n-lo] = 1 iff n is composite, for lo <= n < hi."""
+    """flags[n-lo] = 1 iff n is composite, for lo <= n < hi.
+
+    The primes up to _sieve_bound(hi) strike their multiples; Miller-Rabin
+    decides the unstruck n at or above the square of that bound, which
+    exist only above 2**32."""
+    bound = _sieve_bound(hi)
     flags = bytearray(hi - lo)
-    if hi <= _SIEVE_CUTOFF:
-        for p in _base_primes(isqrt(hi - 1) + 1):
-            start = max(p * p, (lo + p - 1) // p * p)
-            if start < hi:
-                flags[start - lo :: p] = b"\x01" * len(range(start, hi, p))
-    else:
-        for n in range(lo, hi):
-            if not is_prime(n):
-                flags[n - lo] = 1
+    for p in _base_primes(bound):
+        start = max(p * p, (lo + p - 1) // p * p)
+        if start < hi:
+            flags[start - lo :: p] = b"\x01" * len(range(start, hi, p))
+    tail = max(lo, bound * bound)
+    for n in compress(range(tail, hi), flags[tail - lo :].translate(_NOT)):
+        if not is_prime(n):
+            flags[n - lo] = 1
     return flags
 
 
@@ -151,12 +163,7 @@ def _composite_flags(lo: int, hi: int) -> bytearray:
 # ---------------------------------------------------------------------------
 
 def _blocks(lo: int, hi: int, block_size: int):
-    out = []
-    b = lo
-    while b < hi:
-        out.append((b, min(b + block_size, hi)))
-        b += block_size
-    return out
+    return [(b, min(b + block_size, hi)) for b in range(lo, hi, block_size)]
 
 
 def available_cpus() -> int:
@@ -188,6 +195,14 @@ def _run_blocks(kernel, tasks, workers: int, progress=None):
     return results
 
 
+def _search_blocks(kernel, query: RangeQuery, residue_filter, params, block_size, progress):
+    """The hits of kernel over the blocks of query, in block order; each
+    block's task is (lo, hi, residue_filter, *params)."""
+    blocks = _blocks(query.lo, query.hi, block_size)
+    tasks = [(lo, hi, residue_filter, *params) for lo, hi in blocks]
+    return [n for part in _run_blocks(kernel, tasks, query.workers, progress) for n in part]
+
+
 # ---------------------------------------------------------------------------
 # Factor and totient sieves for scans that decide every n
 # ---------------------------------------------------------------------------
@@ -195,17 +210,16 @@ def _run_blocks(kernel, tasks, workers: int, progress=None):
 def _factor_batch(start: int, hi: int, m: int):
     """One column: the factorizations of n = start, start + m, ... below hi.
 
-    Below the sieve cutoff a batched division sieve over the primes up to
-    sqrt(hi) does the work, visiting only the terms each prime divides;
-    above it that prime list would outgrow memory (about 1.5 * 10**8
-    primes near 2**63), so each n is factored on its own.
+    A batched division sieve over the primes up to _sieve_bound(hi) does
+    the work, visiting only the terms each prime divides.  What is left of
+    n is 1, a prime, or, at or above the square of that bound (only above
+    2**32), a cofactor that _factorize splits.
     """
-    if hi > _SIEVE_CUTOFF:
-        return ([_factorize(n).factors for n in range(start, hi, m)],)
+    bound = _sieve_bound(hi)
     rem = list(range(start, hi, m))
     size = len(rem)
     factors = [[] for _ in range(size)]
-    for p in _base_primes(isqrt(hi - 1) + 1):
+    for p in _base_primes(bound):
         found = _class_in_progression(start, m, 0, p)
         if found is None:
             continue
@@ -218,29 +232,28 @@ def _factor_batch(start: int, hi: int, m: int):
                 k += 1
             rem[idx] = v
             factors[idx].append((p, k))
-    for idx in range(size):
-        if rem[idx] > 1:
-            factors[idx].append((rem[idx], 1))
+    for idx, v in enumerate(rem):
+        if v >= bound * bound:
+            factors[idx] += _factorize(v).factors
+        elif v > 1:
+            factors[idx].append((v, 1))
     return (factors,)
 
 
 def _totient_batch(start: int, hi: int, m: int):
     """Columns phi_G(n), lambda_G(n) for the odd n = start, start + m, ... < hi.
 
-    Below the sieve cutoff a multiplicative sieve visits, for each prime
-    power q = p**j with an odd prime p <= sqrt(hi), the terms q divides:
-    phi gains the factor F(p) = p - (-1/p) at j = 1 and p above, lambda
-    becomes the lcm with lambda_G(q) = p**(j-1) * F(p).  What is left of n
-    is 1 or a prime.  Above the cutoff each n is factored.
+    A multiplicative sieve visits, for each prime power q = p**j with an
+    odd prime p <= _sieve_bound(hi), the terms q divides: phi gains the
+    factor F(p) = p - (-1/p) at j = 1 and p above, lambda becomes the lcm
+    with lambda_G(q) = p**(j-1) * F(p).  What is left of n is 1, a prime,
+    or, at or above the square of that bound (only above 2**32), a
+    cofactor that _factorize splits.
     """
-    if hi > _SIEVE_CUTOFF:
-        # phi_G(p**k) = lambda_G(p**k) = p**(k-1) * F(p) for an odd prime p
-        ts = [[p ** (k - 1) * script_F(p) for p, k in _factorize(n).factors]
-              for n in range(start, hi, m)]
-        return [prod(t) for t in ts], [lcm(*t) for t in ts]
+    bound = _sieve_bound(hi)
     rem = list(range(start, hi, m))
     phi, lam = [1] * len(rem), [1] * len(rem)
-    for p in _base_primes(isqrt(hi - 1) + 1)[1:]:
+    for p in _base_primes(bound)[1:]:
         q = p
         f = t = script_F(p)  # phi_G(q) / phi_G(q / p) and lambda_G(q), q = p**j
         while q < hi and (found := _class_in_progression(start, m, 0, q)):
@@ -249,6 +262,12 @@ def _totient_batch(start: int, hi: int, m: int):
             phi[i::step] = [x * f for x in phi[i::step]]
             lam[i::step] = [lcm(x, t) for x in lam[i::step]]
             q, f, t = q * p, p, t * p
+    square = bound * bound
+    if square < hi:  # else no leftover can reach the square; the scan costs 5% at 2**23
+        for idx, v in enumerate(rem):
+            if v >= square:  # phi_G(p**k) = lambda_G(p**k) = p**(k-1) * F(p), p odd
+                ts = [p ** (k - 1) * script_F(p) for p, k in _factorize(v).factors]
+                phi[idx], lam[idx], rem[idx] = phi[idx] * prod(ts), lcm(lam[idx], *ts), 1
     last = [r + 1 if r % 4 == 3 else max(r - 1, 1) for r in rem]  # F(r), or 1 for r = 1
     return [x * y for x, y in zip(phi, last)], map(lcm, lam, last)
 
@@ -265,9 +284,6 @@ def _class_in_progression(start: int, m: int, c: int, modulus: int):
         return None
     step = modulus // g
     return (c - start) // g * pow(m // g, -1, step) % step, step
-
-
-_NOT = bytes([1]) + bytes(255)  # translate table: byte 0 -> 1, anything else -> 0
 
 
 def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearray:
@@ -296,11 +312,11 @@ def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearra
 
 
 def _sieve_primes(lo: int, hi: int) -> tuple[int, ...]:
-    """The primes whose powers sieve [lo, hi): those up to sqrt(min(hi,
-    2**32)) and up to hi - lo.  A larger prime has at most one multiple in
-    the range and would cost more to prepare than the test it saves; fewer
+    """The primes whose powers sieve [lo, hi): those up to _sieve_bound(hi)
+    and up to hi - lo.  A larger prime has at most one multiple in the
+    range and would cost more to prepare than the test it saves; fewer
     primes are sound at any height, the sieve merely rules out less."""
-    return _base_primes(min(isqrt(min(hi, _SIEVE_CUTOFF) - 1) + 1, hi - lo))
+    return _base_primes(min(_sieve_bound(hi), hi - lo))
 
 
 def _sieve_progression(flags: bytearray, start: int, m: int, bounds, qs, ds, c: int) -> None:
@@ -440,8 +456,10 @@ def _psp_mask_kernel(task):
     start = lo + (r - lo) % m
     ns = range(start, hi, m)
     amin = min(a for a, _, _ in base_orders)
-    # the large-prime rule can act on k <= kmax for some base; it needs the
-    # primality of n/k, which the segmented sieve gives below the cutoff
+    # the large-prime rule can act on k <= kmax for some base.  Above 2**32
+    # the codes of n/k, a sieve by the primes up to 2**16 and Miller-Rabin
+    # per k, cost more than the rule saves: with it, 2**14 windows at 2**33
+    # and 2**40 ran 1.2-2.4x slower here and in _sieve_kernel
     kmax = 1
     while hi <= _SIEVE_CUTOFF and (kmax + 1) * (amin**kmax - 1) < hi:
         kmax += 1
@@ -594,7 +612,7 @@ def _sieve_kernel(task):
     lo, hi, residue_filter, qs, ds, bounds, confirm = task
     m, r = residue_filter or (1, 0)
     start = lo + (r - lo) % m
-    if hi > _SIEVE_CUTOFF:  # the codes need the segmented sieve
+    if hi > _SIEVE_CUTOFF:  # codes of n/k cost more there; see _psp_mask_kernel
         bounds = ()
     else:
         bounds = [(k, bound) for k, bound in bounds if bound < hi]
@@ -701,13 +719,10 @@ def search_gfp(
     """
     qs, ds = _gfp_orders(z, query.lo, query.hi)
     bounds = _gfp_large_prime_bounds(z, query.hi)
-    confirm = partial(_passes_gfp, z)
-    tasks = [
-        (lo, hi, query.residue_filter, qs, ds, bounds, confirm)
-        for lo, hi in _blocks(query.lo, query.hi, block_size)
-    ]
-    parts = _run_blocks(_sieve_kernel, tasks, query.workers, progress)
-    return [n for part in parts for n in part]
+    params = (qs, ds, bounds, partial(_passes_gfp, z))
+    return _search_blocks(
+        _sieve_kernel, query, query.residue_filter, params, block_size, progress
+    )
 
 
 def search_classifier(
@@ -757,12 +772,7 @@ def search_classifier(
         params = (_mask_orders((2,), query.lo, query.hi), confirm)
     else:
         params = (spec.predicate,)
-    tasks = [
-        (lo, hi, residue_filter, *params)
-        for lo, hi in _blocks(query.lo, query.hi, block_size)
-    ]
-    parts = _run_blocks(spec.kernel, tasks, query.workers, progress)
-    return [n for part in parts for n in part]
+    return _search_blocks(spec.kernel, query, residue_filter, params, block_size, progress)
 
 
 def joint_census(
@@ -822,14 +832,11 @@ def carmichael_intersection_scan(
     """
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
-    orders = _mask_orders((2,), query.lo, query.hi)
-    confirm = partial(_factored_confirm, carmichael_and_g_carmichael_3mod4)
-    tasks = [
-        (lo, hi, (4, 3), orders, confirm)
-        for lo, hi in _blocks(query.lo, query.hi, block_size)
-    ]
-    parts = _run_blocks(_base2_kernel, tasks, query.workers, progress)
-    return [n for part in parts for n in part]
+    params = (
+        _mask_orders((2,), query.lo, query.hi),
+        partial(_factored_confirm, carmichael_and_g_carmichael_3mod4),
+    )
+    return _search_blocks(_base2_kernel, query, (4, 3), params, block_size, progress)
 
 
 # A longer line is read in pieces and counted as malformed, so one huge line

@@ -21,10 +21,6 @@ COMPONENT_CAP = 1 << 31
 MAX_EXPONENT = (1 << 64) - 1
 DEFAULT_ENUMERATION_CAP = 10_000
 
-# below this modulus the group is enumerated by a plain quadratic scan,
-# above it by prime-power enumeration glued with the CRT
-_BRUTE_SCAN_LIMIT = 300
-
 
 class NotInvertible(ArithmeticError):
     """Raised when an element has no inverse modulo n."""
@@ -201,23 +197,19 @@ def _crt_pairs(
 
 
 def enumerate_group(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[GaussianResidue]:
-    """All norm-one elements of Z[i]/nZ[i], in ascending (re, im) order."""
+    """All norm-one elements of Z[i]/nZ[i], in ascending (re, im) order:
+    those of each prime power q || n, glued with the CRT."""
     _check_modulus(n)
     if n > cap:
         raise ValueError(f"enumeration cap exceeded: {n} > {cap}")
-    if n < _BRUTE_SCAN_LIMIT:
-        pairs = [
-            (a, b) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1
-        ]
-    else:
-        pairs = None
-        modulus = 1
-        for p, k in factorize(n).factors:
-            part = _group_elements_prime_power(p, k)
-            if pairs is None:
-                pairs, modulus = part, p**k
-            else:
-                pairs = _crt_pairs(pairs, modulus, part, p**k)
-                modulus *= p**k
-        pairs.sort()
+    pairs = None
+    modulus = 1
+    for p, k in factorize(n).factors:
+        part = _group_elements_prime_power(p, k)
+        if pairs is None:
+            pairs, modulus = part, p**k
+        else:
+            pairs = _crt_pairs(pairs, modulus, part, p**k)
+            modulus *= p**k
+    pairs.sort()
     return [GaussianResidue(a, b, n) for a, b in pairs]

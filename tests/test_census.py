@@ -2,13 +2,14 @@ import importlib
 import logging
 import os
 import tracemalloc
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from oracle_utils import (
     brute_psp_masks,
     composite_sieve,
     gpow,
+    trial_division_factorize,
     trial_division_is_prime,
     twin_pair_products_below,
 )
@@ -126,8 +127,8 @@ class TestSearchGfp:
         assert got == expected
 
     def test_above_sieve_cutoff_uses_miller_rabin(self):
-        # blocks beyond 2^32 switch from the segmented sieve to per-candidate
-        # deterministic Miller-Rabin, and the large-prime rule is off
+        # beyond 2^32 the sieve primes stop at 2^16, Miller-Rabin decides the
+        # n they leave unstruck, and the large-prime rule is off
         lo, hi = (1 << 32) + 1, (1 << 32) + 600
         from gausspseudo.arith import is_prime
 
@@ -244,6 +245,11 @@ class TestClassSieve:
         assert factorize.cache_info().currsize == before
 
 
+# products of the two least primes above 2**16: no sieve prime divides them,
+# so what the sieve leaves of them is composite and _factorize splits it
+SPLIT_TAILS = (65537 * 65537, 65537 * 65539)
+
+
 class TestTotientBatch:
     """(phi_G, lambda_G) of the totient sieve against the arith functions.
     Searches cannot check lambda_G at p**j, j > 1: no odd n with a square
@@ -284,6 +290,56 @@ class TestTotientBatch:
     )
     def test_windows_at_2_32(self, lo, hi):
         self.assert_batch(lo, hi, 2)
+
+    @pytest.mark.parametrize("center", SPLIT_TAILS)
+    def test_window_with_a_factorize_tail(self, center):
+        self.assert_batch(center - 200, center + 200, 2)
+
+
+class TestSievesAtHeight:
+    """One sieve by the primes up to min(sqrt(hi), 2**16) at every height;
+    above 2**32 Miller-Rabin and _factorize settle what it leaves open."""
+
+    @pytest.mark.parametrize(
+        "lo, hi", [((1 << 32) - 300, (1 << 32) + 300), ((1 << 36) + 1000, (1 << 36) + 1300)]
+    )
+    def test_composite_flags_above_2_32(self, lo, hi):
+        flags = census._composite_flags(lo, hi)
+        assert list(flags) == [int(not trial_division_is_prime(n)) for n in range(lo, hi)]
+
+    def test_miller_rabin_only_on_unstruck(self, monkeypatch):
+        lo, hi = 1 << 40, (1 << 40) + (1 << 12)
+        primorial = prod(p for p in range(2, (1 << 16) + 1) if trial_division_is_prime(p))
+        unstruck = [n for n in range(lo, hi) if gcd(n, primorial) == 1]
+        tested = []
+        real = census.is_prime
+        monkeypatch.setattr(census, "is_prime", lambda n: tested.append(n) or real(n))
+        census._composite_flags(lo, hi)
+        assert tested == unstruck
+        assert len(unstruck) < (hi - lo) // 10
+
+    @pytest.mark.parametrize("center", SPLIT_TAILS)
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_factor_batch_with_a_factorize_tail(self, center, m):
+        start, hi = center - 100 * m, center + 100 * m
+        (factors,) = census._factor_batch(start, hi, m)
+        expected = [trial_division_factorize(n) for n in range(start, hi, m)]
+        assert [list(f) for f in factors] == expected
+
+    @pytest.mark.parametrize(
+        "lo, hi", [((1 << 31) + 12345, (1 << 31) + 12345 + (1 << 16)), (10**6, 10**6 + 500)]
+    )
+    def test_no_per_n_work_below_2_32(self, monkeypatch, lo, hi):
+        # below 2**32 the sieve primes reach sqrt(hi): nothing is left for
+        # Miller-Rabin or _factorize, even on a window shorter than sqrt(hi)
+        def refuse(n):
+            raise AssertionError(f"per-n call on {n}")
+
+        monkeypatch.setattr(census, "is_prime", refuse)
+        monkeypatch.setattr(census, "_factorize", refuse)
+        census._composite_flags(lo, hi)
+        census._factor_batch(lo, hi, 1)
+        census._totient_batch(lo + 1 - lo % 2, hi, 2)
 
 
 class TestSearchClassifier:
@@ -357,7 +413,8 @@ class TestSearchClassifier:
         ],
     )
     def test_high_windows_factor_per_n(self, monkeypatch, which, lo, hi):
-        # above the cutoff the factor sieve would need every prime up to sqrt(hi)
+        # at any height the sieves strike with the primes up to 2^16 at most;
+        # Miller-Rabin and _factorize settle the n they leave open
         real = census._base_primes
 
         def bounded(limit):

@@ -192,7 +192,8 @@ class TestEnumerateGroup:
         assert len(enumerate_group(4)) == 8
 
     def test_matches_brute_scan_across_paths(self):
-        # below 300 the quadratic scan is used, above it the CRT composition
+        # the CRT composition of prime-power groups against a quadratic scan,
+        # on prime powers and on products of several
         for n in [2, 5, 8, 12, 45, 128, 299, 300, 301, 329, 343, 360, 512, 625, 900]:
             got = [(z.re, z.im) for z in enumerate_group(n)]
             assert got == sorted(brute_group(n)), f"mismatch at {n}"
