@@ -9,20 +9,21 @@ count.  Primality, factorizations and (phi_G, lambda_G) inside a block
 come from sieves by the primes up to min(sqrt(hi), 2**16); above 2**32,
 Miller-Rabin and factorize settle only the n those primes leave open.
 
-Every search is a sieve followed by exact confirmation.  The joint table
-(per integer base a), the Gaussian pseudoprime search (base z) and the
-Korselt classes g_carmichael and g_lehmer sieve each block by a divisor
-that F(n) (n-1 for the table) must have for every prime power q | n: the
-order of a or of z/conj(z) modulo q, or the group exponent or group order
-of q.  They also rule out n = kP with a large prime P; carmichael and
-williams_1, all base-2 Fermat pseudoprimes, take the table's sieve for
-base 2.  The exact test, or the factorization and the class predicate,
-then runs on a few percent of the composites only.  g_cyclic and
-congruence_exception are rules on (n, phi_G(n), lambda_G(n)), which a
-multiplicative sieve gives without factoring n.  Only giuga factors every
-n of the searched progression.  Membership comes from classify plus two
-search rules (g_lehmer's three prime factors, congruence_exception).  All
-kernels are pure; a cancelled run simply never returns a partial result.
+Every search is a sieve followed by exact confirmation.  One kernel,
+_sieve_kernel, serves the joint table (per integer base a), the Gaussian
+pseudoprime search (base z), the Korselt classes g_carmichael and g_lehmer,
+and carmichael and williams_1, whose members are base-2 pseudoprimes.  It
+sieves each block by a divisor that the exponent (F(n), or n-1 for the
+classical test) must have for every prime power q | n: the order of a or
+of z/conj(z) modulo q, or the group exponent or group order of q.  It also
+rules out n = kP with a large prime P.  The exact test, or the
+factorization and the class predicate, then runs on a few percent of the
+composites only.  g_cyclic and congruence_exception are rules on (n,
+phi_G(n), lambda_G(n)), which a multiplicative sieve gives without
+factoring n.  Only giuga factors every n of the searched progression.
+Membership comes from classify plus two search rules (g_lehmer's three
+prime factors, congruence_exception).  All kernels are pure; a cancelled
+run simply never returns a partial result.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import logging
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
@@ -181,26 +183,21 @@ def _run_blocks(kernel, tasks, workers: int, progress=None):
     """
     results = []
     workers = min(workers, len(tasks), available_cpus())
-    if workers <= 1:
-        for i, task in enumerate(tasks):
-            results.append(kernel(task))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for i, res in enumerate((pool.map if pool else map)(kernel, tasks)):
+            results.append(res)
             if progress:
                 progress(i + 1, len(tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(kernel, tasks)):
-                results.append(res)
-                if progress:
-                    progress(i + 1, len(tasks))
     return results
 
 
 def _search_blocks(kernel, query: RangeQuery, residue_filter, params, block_size, progress):
     """The hits of kernel over the blocks of query, in block order; each
-    block's task is (lo, hi, residue_filter, *params)."""
+    block's task is (lo, hi, residue_filter, *params), and its result the
+    one list of a single spec."""
     blocks = _blocks(query.lo, query.hi, block_size)
     tasks = [(lo, hi, residue_filter, *params) for lo, hi in blocks]
-    return [n for part in _run_blocks(kernel, tasks, query.workers, progress) for n in part]
+    return [n for (part,) in _run_blocks(kernel, tasks, query.workers, progress) for n in part]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +383,8 @@ def _congruence_exception(n: int, phi: int, lam: int) -> bool:
 def _batch_kernel(batch, task):
     """Exact scan that decides every n of the searched progression: batch
     gives one column per argument of predicate after n (_factor_batch for
-    giuga, _totient_batch for the rules on phi_G and lambda_G)."""
+    giuga, _totient_batch for the rules on phi_G and lambda_G).  Returns
+    [hits], as _sieve_kernel does for one spec."""
     lo, hi, residue_filter, predicate = task
     m, r = residue_filter or (1, 0)
     hits = []
@@ -394,7 +392,7 @@ def _batch_kernel(batch, task):
         bhi = min(blo + _FACTOR_BATCH, hi)
         ns = range(blo + (r - blo) % m, bhi, m)
         hits += compress(ns, map(predicate, ns, *batch(ns.start, bhi, m)))
-    return hits
+    return [hits]
 
 
 _factored_kernel = partial(_batch_kernel, _factor_batch)
@@ -436,69 +434,6 @@ def _mask_orders(integer_bases, lo: int, hi: int):
                     ds.append(d)
                 q *= p
     return out
-
-
-def _psp_mask_kernel(task):
-    """Composite n (after filter) with their classical-pseudoprime base mask.
-
-    For each integer base a, a sieve over the block rules out the n that
-    cannot satisfy a^(n-1) = 1 (mod n); only the survivors pay for the
-    exact test pow(a, n-1, n) == 1.  The sieve removes n in two ways:
-
-    * order sieve: a prime power q | n forces ord_q(a) | n-1, so of the
-      multiples of q only n = 0 (mod q), n = 1 (mod ord_q(a)) can pass;
-    * large prime: if n = kP with P prime, then a^(n-1) = a^(k-1) (mod P),
-      so n fails whenever P > a^(k-1) - 1 >= 1 (after R. G. E. Pinch, "The
-      pseudoprimes up to 10^13", ANTS-IV, 2000).
-    """
-    lo, hi, residue_filter, base_orders = task
-    m, r = residue_filter or (1, 0)
-    start = lo + (r - lo) % m
-    ns = range(start, hi, m)
-    amin = min(a for a, _, _ in base_orders)
-    # the large-prime rule can act on k <= kmax for some base.  Above 2**32
-    # the codes of n/k, a sieve by the primes up to 2**16 and Miller-Rabin
-    # per k, cost more than the rule saves: with it, 2**14 windows at 2**33
-    # and 2**40 ran 1.2-2.4x slower here and in _sieve_kernel
-    kmax = 1
-    while hi <= _SIEVE_CUTOFF and (kmax + 1) * (amin**kmax - 1) < hi:
-        kmax += 1
-    codes = _cofactor_codes(lo, hi, m, start, kmax)
-    masks = {}
-    for j, (a, qs, ds) in enumerate(base_orders):
-        bounds = []
-        for k in range(2, kmax + 1):
-            bound = k * (a ** (k - 1) - 1)  # n = kP > bound has P > a^(k-1) - 1
-            if bound >= hi:
-                break
-            bounds.append((k, bound))
-        flags = bytearray(codes)
-        _sieve_progression(flags, start, m, bounds, qs, ds, 1)
-        for n in compress(ns, flags):
-            if pow(a, n - 1, n) == 1:
-                masks[n] = masks.get(n, 0) | 1 << j
-    return sorted(masks.items())
-
-
-def _base2_kernel(task):
-    """The base-2 Fermat pseudoprimes of _psp_mask_kernel that pass confirm(n)."""
-    lo, hi, residue_filter, base_orders, confirm = task
-    return [n for n, _ in _psp_mask_kernel((lo, hi, residue_filter, base_orders)) if confirm(n)]
-
-
-def _joint_kernel(task):
-    """One block of the joint table: counts[i][j] of the composites that
-    pass Gaussian base i and integer base j.  The Gaussian tests run on the
-    classical pseudoprimes of _psp_mask_kernel only."""
-    lo, hi, residue_filter, base_orders, gaussian_bases = task
-    counts = [[0] * len(base_orders) for _ in gaussian_bases]
-    for n, mask in _psp_mask_kernel((lo, hi, residue_filter, base_orders)):
-        columns = [j for j in range(len(base_orders)) if mask >> j & 1]
-        for row, z in zip(counts, gaussian_bases):
-            if gaussian_fermat_test(n, z) is TestOutcome.PASS:
-                for j in columns:
-                    row[j] += 1
-    return counts
 
 
 def _gfp_orders(z: GaussianBase, lo: int, hi: int):
@@ -555,6 +490,22 @@ def _gfp_large_prime_bounds(z: GaussianBase, hi: int) -> tuple:
     return tuple(rules)
 
 
+def _fermat_large_prime_bounds(a: int, hi: int) -> tuple:
+    """Pairs (k, bound) below hi such that n = kP > bound with P prime fails
+    base a: a^(n-1) = a^(k-1) (mod P), and P > a^(k-1) - 1 >= 1 (after
+    R. G. E. Pinch, "The pseudoprimes up to 10^13", ANTS-IV, 2000).
+    """
+    rules, k = [], 2
+    while (bound := k * (a ** (k - 1) - 1)) < hi:
+        rules.append((k, bound))
+        k += 1
+    return tuple(rules)
+
+
+def _passes_fermat(a: int, n: int) -> bool:
+    return pow(a, n - 1, n) == 1
+
+
 def _passes_gfp(z: GaussianBase, n: int) -> bool:
     return gaussian_fermat_test(n, z) is TestOutcome.PASS
 
@@ -595,39 +546,87 @@ def _factored_confirm(predicate, n: int) -> bool:
     return predicate(n, _factorize(n).factors)
 
 
-# (modulus, residue, c): the classes of n mod 4 on which F(n) = n - c
+def _base2_confirm(predicate, n: int) -> bool:
+    return _passes_fermat(2, n) and _factored_confirm(predicate, n)
+
+
+def _base2_spec(predicate, lo: int, hi: int):
+    """The sieve spec of the base-2 pseudoprimes n in [lo, hi) with predicate(n, factors)."""
+    ((_, qs, ds),) = _mask_orders((2,), lo, hi)
+    return qs, ds, _fermat_large_prime_bounds(2, hi), partial(_base2_confirm, predicate)
+
+
+# (modulus, residue, c): the classes of n on which the exponent is n - c,
+# F(n) by n mod 4, or n - 1 for the classical Fermat test
 _F_CLASSES = ((2, 0, 0), (4, 1, 1), (4, 3, -1))
+_N_CLASSES = ((1, 0, 1),)
 
 
 def _sieve_kernel(task):
-    """The n of one block, after the residue filter, that pass confirm(n),
-    ascending.
+    """Per spec (qs, ds, bounds, confirm), the n of one block, after the
+    residue filter, that pass confirm(n), ascending.
 
-    The sieve clears, before confirm runs, the primes, the n with some
-    (q, d) in (qs, ds) where q | n but d does not divide F(n), and each
-    n = kP > bound with P prime for a (k, bound) in bounds; confirm must
-    reject all of them.  The block's cofactor codes are split into the
-    classes of _F_CLASSES, and each class is sieved with its c.
+    On each class (modulus, residue, c) of classes, where the exponent is
+    n - c, the sieve clears before confirm runs: the primes, the n with
+    some (q, d) in (qs, ds) where q | n but d does not divide n - c, and
+    each n = kP > bound with P prime for a (k, bound) in bounds.  confirm
+    must reject all of them.  The block's cofactor codes serve every spec.
     """
-    lo, hi, residue_filter, qs, ds, bounds, confirm = task
+    lo, hi, residue_filter, classes, specs = task
     m, r = residue_filter or (1, 0)
     start = lo + (r - lo) % m
-    if hi > _SIEVE_CUTOFF:  # codes of n/k cost more there; see _psp_mask_kernel
-        bounds = ()
-    else:
-        bounds = [(k, bound) for k, bound in bounds if bound < hi]
-    codes = _cofactor_codes(lo, hi, m, start, max((k for k, _ in bounds), default=1))
-    hits = []
-    for modulus, residue, c in _F_CLASSES:
-        found = _class_in_progression(start, m, residue, modulus)
-        if found is None:
-            continue
-        i, step = found
-        flags = codes[i::step]
-        _sieve_progression(flags, start + i * m, m * step, bounds, qs, ds, c)
-        hits += filter(confirm, compress(range(start + i * m, hi, m * step), flags))
-    hits.sort()
-    return hits
+    # The large-prime rule needs the codes of n/k.  Above 2**32 each k costs a
+    # sieve by the primes up to 2**16 and Miller-Rabin, more than the rule saves:
+    # with it, 2**14 windows at 2**33 and 2**40 ran 1.2-2.4x slower.
+    reach = hi if hi <= _SIEVE_CUTOFF else 0
+    kmax = max((k for _, _, bounds, _ in specs for k, bound in bounds if bound < reach), default=1)
+    codes = _cofactor_codes(lo, hi, m, start, kmax)
+    out = []
+    for qs, ds, bounds, confirm in specs:
+        bounds = [(k, bound) for k, bound in bounds if bound < reach]
+        hits = []
+        for modulus, residue, c in classes:
+            found = _class_in_progression(start, m, residue, modulus)
+            if found is None:
+                continue
+            i, step = found
+            flags = codes[i::step]
+            _sieve_progression(flags, start + i * m, m * step, bounds, qs, ds, c)
+            hits += filter(confirm, compress(range(start + i * m, hi, m * step), flags))
+        out.append(sorted(hits))
+    return out
+
+
+def _psp_mask_kernel(task):
+    """Composite n (after filter) with their classical-pseudoprime base
+    mask, ascending: bit j is set iff a^(n-1) = 1 (mod n) for the j-th
+    base a.  _sieve_kernel sieves each base by its orders and the
+    large-prime rule before the exact test confirms the survivors."""
+    lo, hi, residue_filter, base_orders = task
+    specs = [
+        (qs, ds, _fermat_large_prime_bounds(a, hi), partial(_passes_fermat, a))
+        for a, qs, ds in base_orders
+    ]
+    masks = {}
+    for j, hits in enumerate(_sieve_kernel((lo, hi, residue_filter, _N_CLASSES, specs))):
+        for n in hits:
+            masks[n] = masks.get(n, 0) | 1 << j
+    return sorted(masks.items())
+
+
+def _joint_kernel(task):
+    """One block of the joint table: counts[i][j] of the composites that
+    pass Gaussian base i and integer base j.  The Gaussian tests run on the
+    classical pseudoprimes of _psp_mask_kernel only."""
+    lo, hi, residue_filter, base_orders, gaussian_bases = task
+    counts = [[0] * len(base_orders) for _ in gaussian_bases]
+    for n, mask in _psp_mask_kernel((lo, hi, residue_filter, base_orders)):
+        columns = [j for j in range(len(base_orders)) if mask >> j & 1]
+        for row, z in zip(counts, gaussian_bases):
+            if gaussian_fermat_test(n, z) is TestOutcome.PASS:
+                for j in columns:
+                    row[j] += 1
+    return counts
 
 
 def _twin_pair_products(query: RangeQuery) -> list[int]:
@@ -650,10 +649,10 @@ class _ClassSearch(NamedTuple):
     for _totient_kernel it is a rule(n, phi_G(n), lambda_G(n)).  A Korselt
     class has a group_order, the arith function whose value at each prime
     power q | n divides F(n) for every member n: _sieve_kernel sieves by it
-    and by the large-prime rule for cofactors up to kmax, then confirms
-    with predicate, as _base2_kernel does for base-2 pseudoprimes.  odd_only
-    classes have no even member; capped ones refuse ranges above the giuga
-    cap.  kernel None is the twin-prime enumeration.
+    and by the large-prime rule for cofactors up to kmax, then confirms with
+    predicate; without one, it takes the base-2 pseudoprimes of _base2_spec.
+    odd_only classes have no even member; capped ones refuse ranges above
+    the giuga cap.  kernel None is the twin-prime enumeration.
     """
 
     kernel: object
@@ -673,14 +672,14 @@ _CLASS_SEARCHES = {
     "g_carmichael": _ClassSearch(
         _sieve_kernel, PREDICATES["g_carmichael"], gaussian_lambda_from_factors, kmax=128
     ),
-    "carmichael": _ClassSearch(_base2_kernel, PREDICATES["carmichael"], odd_only=True),
+    "carmichael": _ClassSearch(_sieve_kernel, PREDICATES["carmichael"], odd_only=True),
     "g_cyclic": _ClassSearch(_totient_kernel, g_cyclic_from_orders, odd_only=True),
     "g_lehmer": _ClassSearch(
         _sieve_kernel, _g_lehmer_multi, gaussian_phi_from_factors, kmax=24
     ),
     "congruence_exception": _ClassSearch(_totient_kernel, _congruence_exception, odd_only=True),
     "giuga": _ClassSearch(_factored_kernel, giuga_from_factors, capped=True),
-    "williams_1": _ClassSearch(_base2_kernel, PREDICATES["williams_1"], odd_only=True),
+    "williams_1": _ClassSearch(_sieve_kernel, PREDICATES["williams_1"], odd_only=True),
     "twin_pair_product": _ClassSearch(None),
 }
 
@@ -718,10 +717,9 @@ def search_gfp(
     test, fermat.gaussian_fermat_test.
     """
     qs, ds = _gfp_orders(z, query.lo, query.hi)
-    bounds = _gfp_large_prime_bounds(z, query.hi)
-    params = (qs, ds, bounds, partial(_passes_gfp, z))
+    spec = (qs, ds, _gfp_large_prime_bounds(z, query.hi), partial(_passes_gfp, z))
     return _search_blocks(
-        _sieve_kernel, query, query.residue_filter, params, block_size, progress
+        _sieve_kernel, query, query.residue_filter, (_F_CLASSES, (spec,)), block_size, progress
     )
 
 
@@ -745,12 +743,13 @@ def search_classifier(
     for every prime power q | n; n = kP with a prime P > k + 2 fails both.
     About 3 percent (g_carmichael) and 1.3 percent (g_lehmer) of a window
     of 2**16 near 10**7 survive to be factored and decided.  'carmichael'
-    and 'williams_1' factor and decide the base-2 Fermat pseudoprimes of
-    the joint table's sieve.  'g_cyclic' and 'congruence_exception' are
-    decided from phi_G(n) and lambda_G(n), which a multiplicative sieve
-    gives; only 'giuga' factors each n of the searched progression.  The
-    four search the odd n only.  Membership is decided by classify's
-    PREDICATES, g_cyclic_from_orders and giuga_from_factors.
+    and 'williams_1' are sieved as the joint table's base-2 column is,
+    and factor and decide the base-2 Fermat pseudoprimes that remain.
+    'g_cyclic' and 'congruence_exception' are decided from phi_G(n) and
+    lambda_G(n), which a multiplicative sieve gives; only 'giuga' factors
+    each n of the searched progression.  The four search the odd n only.
+    Membership is decided by classify's PREDICATES, g_cyclic_from_orders
+    and giuga_from_factors.
     """
     spec = _CLASS_SEARCHES.get(which)
     if spec is None:
@@ -764,12 +763,12 @@ def search_classifier(
         residue_filter = _odd_filter(residue_filter)
         if residue_filter is None:
             return []
-    confirm = partial(_factored_confirm, spec.predicate)
     if spec.group_order is not None:
         orders = _korselt_orders(spec.group_order, query.lo, query.hi)
-        params = (*orders, _korselt_bounds(spec.kmax), confirm)
-    elif spec.kernel is _base2_kernel:
-        params = (_mask_orders((2,), query.lo, query.hi), confirm)
+        confirm = partial(_factored_confirm, spec.predicate)
+        params = (_F_CLASSES, ((*orders, _korselt_bounds(spec.kmax), confirm),))
+    elif spec.kernel is _sieve_kernel:
+        params = (_N_CLASSES, (_base2_spec(spec.predicate, query.lo, query.hi),))
     else:
         params = (spec.predicate,)
     return _search_blocks(spec.kernel, query, residue_filter, params, block_size, progress)
@@ -832,11 +831,10 @@ def carmichael_intersection_scan(
     """
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
-    params = (
-        _mask_orders((2,), query.lo, query.hi),
-        partial(_factored_confirm, carmichael_and_g_carmichael_3mod4),
+    spec = _base2_spec(carmichael_and_g_carmichael_3mod4, query.lo, query.hi)
+    return _search_blocks(
+        _sieve_kernel, query, (4, 3), (_N_CLASSES, (spec,)), block_size, progress
     )
-    return _search_blocks(_base2_kernel, query, (4, 3), params, block_size, progress)
 
 
 # A longer line is read in pieces and counted as malformed, so one huge line

@@ -14,12 +14,10 @@ The census applies g_cyclic_from_orders, which the G-cyclic entry calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 from .arith import (
     MAX_ARG,
-    _gauss_lambda_pp,
-    _gauss_phi_pp,
     classical_phi_from_factors,
     factorize,
     gaussian_lambda_from_factors,
@@ -27,7 +25,6 @@ from .arith import (
     is_prime,
     script_F,
 )
-from .residues import _group_elements_prime_power, _pow_components
 
 DEFAULT_GIUGA_CAP = 100_000
 
@@ -223,7 +220,7 @@ def lambda_power_congruence(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _giuga_sum_prime_power(p: int, k: int, F: int) -> tuple[int, int]:
-    """Sum of z**F over the norm-one group mod p^k, as (re, im) mod p^k.
+    """Sum of z**F(n) over the norm-one group mod p^k || n, as (re, im) mod p^k.
 
     For odd p the group is cyclic of order m = phi(p^k); z -> z**F maps it
     onto its unique subgroup of order e = m / gcd(m, F), each image element
@@ -231,25 +228,14 @@ def _giuga_sum_prime_power(p: int, k: int, F: int) -> tuple[int, int]:
     part of order e' coprime to p; the coprime part consists of the e'
     distinct roots of x**e' - 1, which sum to 0 when e' > 1, while the
     p-part sums to its own size.  Hence the total is phi(p^k) when e is a
-    p-power and 0 otherwise.  For p = 2 the exponent divides F in every
-    case this package reaches (F is even whenever n is), giving the same
-    closed form; a direct enumeration covers the remaining corner.
+    p-power and 0 otherwise.  For p = 2, F = n, which the group exponent
+    (2, 4 or 2^(k-2)) divides: the total is m, as the closed form gives.
     """
-    m = _gauss_phi_pp(p, k)
-    pk = p**k
-    if p == 2:
-        if F % _gauss_lambda_pp(p, k) == 0:
-            return m % pk, 0
-        sr = si = 0
-        for a, b in _group_elements_prime_power(p, k):
-            ra, rb = _pow_components(a, b, F, pk)
-            sr += ra
-            si += rb
-        return sr % pk, si % pk
+    m = gaussian_phi_from_factors(((p, k),))
     e = m // gcd(m, F)
     while e % p == 0:
         e //= p
-    return (m % pk, 0) if e == 1 else (0, 0)
+    return (m % p**k, 0) if e == 1 else (0, 0)
 
 
 def giuga_membership(n: int, cap: int = DEFAULT_GIUGA_CAP) -> bool:
@@ -269,10 +255,8 @@ def giuga_membership(n: int, cap: int = DEFAULT_GIUGA_CAP) -> bool:
 def giuga_from_factors(n: int, factors) -> bool:
     """giuga_membership of n, given its factorization; no cap applies."""
     F = script_F(n)
-    phis = [_gauss_phi_pp(p, k) for p, k in factors]
-    total = 1
-    for x in phis:
-        total *= x
+    phis = [gaussian_phi_from_factors(((p, k),)) for p, k in factors]
+    total = prod(phis)
     for (p, k), m in zip(factors, phis):
         pk = p**k
         sre, sim = _giuga_sum_prime_power(p, k, F)

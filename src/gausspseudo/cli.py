@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import re
 import sys
 import time
@@ -36,20 +35,7 @@ from .classify import DEFAULT_GIUGA_CAP, ClassificationReport, classify
 from .fermat import TABLE_GAUSSIAN_BASES, TABLE_INTEGER_BASES
 from .residues import GaussianBase
 
-WORKERS_ENV = "GAUSSPSEUDO_WORKERS"
 _PROGRESS_INTERVAL = 0.5
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            w = int(env)
-            if w >= 1:
-                return w
-        except ValueError:
-            pass
-    return available_cpus()
 
 
 def _parse_filter(text: str) -> tuple[int, int]:
@@ -110,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--hi", type=int, required=True)
     p_search.add_argument("--filter", type=_parse_filter, default=None, metavar="M,R")
     p_search.add_argument("--base", type=_parse_base, default=None, metavar="A+Bi")
-    p_search.add_argument("--workers", type=int, default=None)
+    p_search.add_argument("--workers", type=int, default=available_cpus())
     p_search.add_argument("--giuga-cap", type=int, default=DEFAULT_GIUGA_CAP)
     p_search.add_argument("--format", choices=("plain", "csv", "records"), default="plain")
 
@@ -121,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated bases, e.g. '1+2i,1+4i' (empty for none)")
     p_table.add_argument("--integer-bases", type=str, default=None,
                          help="comma-separated integers, e.g. '2,3,4'")
-    p_table.add_argument("--workers", type=int, default=None)
+    p_table.add_argument("--workers", type=int, default=available_cpus())
     p_table.add_argument("--format", choices=("plain", "csv", "records"), default="plain")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the Gaussian test over a candidate list file")
@@ -196,8 +182,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    query = RangeQuery(args.lo, args.hi, args.filter, workers)
+    query = RangeQuery(args.lo, args.hi, args.filter, args.workers)
     progress = _Progress(f"search {args.classifier}", args.quiet)
     if args.classifier == "gfp":
         if args.base is None:
@@ -216,7 +201,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
     if args.gaussian_bases is None:
         gbases = TABLE_GAUSSIAN_BASES
     else:
@@ -230,7 +214,7 @@ def _cmd_table(args) -> int:
         ibases = tuple(
             int(part) for part in args.integer_bases.split(",") if part.strip()
         )
-    query = RangeQuery(2, args.limit, args.filter, workers)
+    query = RangeQuery(2, args.limit, args.filter, args.workers)
     progress = _Progress("table", args.quiet)
     table = joint_census(query, gbases, ibases, progress=progress)
     sys.stdout.write(_render_table(table, query, args.format))

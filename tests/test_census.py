@@ -341,6 +341,32 @@ class TestSievesAtHeight:
         census._factor_batch(lo, hi, 1)
         census._totient_batch(lo + 1 - lo % 2, hi, 2)
 
+    SIEVED_PATHS = {
+        **{
+            which: lambda query, which=which: search_classifier(query, which)
+            for which in ("g_carmichael", "g_lehmer", "carmichael", "williams_1")
+        },
+        "gfp 1+2i": lambda query: search_gfp(query, Z12),
+        "joint_census": lambda query: joint_census(query, (Z12,), (2, 3)),
+    }
+
+    @pytest.mark.parametrize("path", SIEVED_PATHS)
+    @pytest.mark.parametrize("lo", [10**6, (1 << 32) + (1 << 20)])
+    def test_large_prime_rule_off_above_2_32(self, monkeypatch, path, lo):
+        # one gate for every sieved path: the codes of n/k come with kmax > 1
+        # up to 2**32 and with kmax 1 above it
+        kmaxes = []
+        real = census._cofactor_codes
+
+        def recording(lo, hi, m, start, kmax):
+            kmaxes.append(kmax)
+            return real(lo, hi, m, start, kmax)
+
+        monkeypatch.setattr(census, "_cofactor_codes", recording)
+        self.SIEVED_PATHS[path](RangeQuery(lo, lo + 2_000))
+        assert kmaxes
+        assert all((kmax == 1) == (lo > census._SIEVE_CUTOFF) for kmax in kmaxes), kmaxes
+
 
 class TestSearchClassifier:
     def test_unknown_name(self):

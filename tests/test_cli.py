@@ -194,20 +194,16 @@ class TestVerifyCommand:
 
 
 class TestWorkersDefault:
-    def test_env_override(self, monkeypatch):
-        from gausspseudo.cli import _default_workers
+    def test_default_is_available_cpus(self, capsys, monkeypatch):
+        from gausspseudo import cli
 
-        monkeypatch.setenv("GAUSSPSEUDO_WORKERS", "3")
-        assert _default_workers() == 3
-        monkeypatch.setenv("GAUSSPSEUDO_WORKERS", "junk")
-        assert _default_workers() >= 1
-
-    def test_default_is_available_cpus(self, monkeypatch):
-        from gausspseudo.census import available_cpus
-        from gausspseudo.cli import _default_workers
-
-        monkeypatch.delenv("GAUSSPSEUDO_WORKERS", raising=False)
-        assert _default_workers() == available_cpus()
+        seen = []
+        monkeypatch.setattr(cli, "available_cpus", lambda: 3)
+        monkeypatch.setattr(
+            cli, "search_classifier", lambda query, which, **kw: seen.append(query.workers) or []
+        )
+        assert run_cli(capsys, "search", "g_carmichael", "--hi", "100", "--quiet") == (0, "", "")
+        assert seen == [3]
 
 
 # Tokens for the in-process fuzz of main(): valid and invalid values of
