@@ -15,8 +15,10 @@ pseudoprime search (base z), the Korselt classes g_carmichael and g_lehmer,
 and carmichael and williams_1, whose members are base-2 pseudoprimes.  It
 sieves each block by a divisor that the exponent (F(n), or n-1 for the
 classical test) must have for every prime power q | n: the order of a or
-of z/conj(z) modulo q, or the group exponent or group order of q.  It also
-rules out n = kP with a large prime P.  The exact test, or the
+of z/conj(z) modulo q, or the group exponent or group order of q.  One
+builder, _unit_orders, gives both order tables: the builtin pow decides
+a^e = 1, and the V-chain of fermat.ratio_power_is_one (z/conj(z))^e = 1.
+The sieve also rules out n = kP with a large prime P.  The exact test, or the
 factorization and the class predicate, then runs on a few percent of the
 composites only.  g_cyclic and congruence_exception are rules on (n,
 phi_G(n), lambda_G(n)), which a multiplicative sieve gives without
@@ -56,8 +58,8 @@ from .classify import (
     giuga_from_factors,
     power_congruence,
 )
-from .fermat import TestOutcome, gaussian_fermat_test
-from .residues import GaussianBase, _pow_components
+from .fermat import TestOutcome, gaussian_fermat_test, ratio_power_is_one
+from .residues import GaussianBase
 
 log = logging.getLogger(__name__)
 
@@ -358,12 +360,6 @@ def _sieve_progression(flags: bytearray, start: int, m: int, bounds, qs, ds, c: 
             flags[ki::kstep] = saved
 
 
-def _ratio_components(zre: int, zim: int, znorm: int, n: int) -> tuple[int, int]:
-    """z/conj(z) = z^2 / (z*conj(z)) mod n as raw components; needs gcd(n, znorm) = 1."""
-    inv = pow(znorm % n, -1, n)
-    return (zre * zre - zim * zim) * inv % n, 2 * zre * zim * inv % n
-
-
 # ---------------------------------------------------------------------------
 # Kernels (module level so they pickle for worker processes)
 # ---------------------------------------------------------------------------
@@ -399,71 +395,68 @@ _factored_kernel = partial(_batch_kernel, _factor_batch)
 _totient_kernel = partial(_batch_kernel, _totient_batch)
 
 
-def _mask_orders(integer_bases, lo: int, hi: int):
-    """Per integer base a: (a, qs, ds), two int64 arrays over prime powers
-    q < hi whose prime is a sieve prime, where d = ord_q(a), or d = 0 when
-    no multiple of q can pass base a (the prime divides a or d).  Pairs with
-    d = 1 carry no condition and are left out.  Arrays keep the task that
-    carries them to every block small.
+# (modulus, residue, c): the classes of n on which the exponent is n - c,
+# F(n) by n mod 4, or n - 1 for the classical Fermat test
+_F_CLASSES = ((2, 0, 0), (4, 1, 1), (4, 3, -1))
+_N_CLASSES = ((1, 0, 1),)
 
-    Sieve primes are those of _sieve_primes.
+
+def _unit_orders(lo: int, hi: int, classes, period, is_one):
+    """The order table (qs, ds) of a unit x: two int64 arrays over the prime
+    powers q < hi of the primes of _sieve_primes, with d = ord_q(x), where
+    is_one(e, q) says x^e = 1 (mod q).  period(p) is a multiple of ord_p(x),
+    or 0 when p divides the base or its norm, so that no multiple of p can
+    pass: d = 0 at q = p.  Pairs with d = 1 carry no condition and are left
+    out.  A multiple n of q has p | n - c only if p | c, so when no class
+    (modulus, residue, c) of classes has p | c, p | d fails every multiple
+    of q: d = 0 there, and the higher powers of p are left out.  Arrays keep
+    the task that carries them to every block small.
     """
-    primes = _sieve_primes(lo, hi)
-    out = tuple((a, array("q"), array("q")) for a in integer_bases)
-    for p in primes:
-        p1_factors = [f for f, _ in factorize(p - 1).factors] if p > 2 else []
-        for a, qs, ds in out:
-            if a % p == 0:
-                qs.append(p)
-                ds.append(0)
-                continue
-            d = p - 1
-            for f in p1_factors:
-                while d % f == 0 and pow(a, d // f, p) == 1:
-                    d //= f
-            q = p
-            while q < hi:
-                while pow(a, d, q) != 1:  # ord_q(a) is ord_p(a) times a power of p
-                    d *= p
-                if d % p == 0:
-                    qs.append(q)
-                    ds.append(0)
-                    break
-                if d > 1:
-                    qs.append(q)
-                    ds.append(d)
-                q *= p
-    return out
-
-
-def _gfp_orders(z: GaussianBase, lo: int, hi: int):
-    """Two int64 arrays (qs, ds) over prime powers q < hi whose prime is a
-    sieve prime: d = ord_q(z/conj(z)), or d = 0 when the prime divides
-    z*conj(z), which makes every multiple of it an invalid modulus for z.
-    Pairs with d = 1 carry no condition and are left out.
-    """
-    znorm = z.norm()
     qs, ds = array("q"), array("q")
     for p in _sieve_primes(lo, hi):
-        if znorm % p == 0:
+        d = period(p)
+        if d == 0:
             qs.append(p)
             ds.append(0)
             continue
-        d = script_F(p)  # the order of the norm-one group mod p
-        ra, rb = _ratio_components(z.re, z.im, znorm, p)
-        for f, _ in factorize(d).factors:
-            while d % f == 0 and _pow_components(ra, rb, d // f, p) == (1, 0):
+        for f, _ in factorize(d).factors if d > 1 else ():
+            while d % f == 0 and is_one(d // f, p):
                 d //= f
+        p_free = all(c % p for _, _, c in classes)  # p | n never gives p | n - c
         q = p
         while q < hi:
-            ra, rb = _ratio_components(z.re, z.im, znorm, q)
-            while _pow_components(ra, rb, d, q) != (1, 0):  # ord_p times a power of p
+            while not is_one(d, q):  # ord_q(x) is ord_p(x) times a power of p
                 d *= p
+            if p_free and d % p == 0:
+                qs.append(q)
+                ds.append(0)
+                break
             if d > 1:
                 qs.append(q)
                 ds.append(d)
             q *= p
     return qs, ds
+
+
+def _mask_orders(integer_bases, lo: int, hi: int):
+    """Per integer base a: (a, qs, ds), the _unit_orders of a for n - 1."""
+    return tuple(
+        (a, *_unit_orders(
+            lo, hi, _N_CLASSES, lambda p: p - 1 if a % p else 0, lambda e, q: pow(a, e, q) == 1
+        ))
+        for a in integer_bases
+    )
+
+
+def _gfp_orders(z: GaussianBase, lo: int, hi: int):
+    """The _unit_orders (qs, ds) of z/conj(z) for F(n), by the V-chain of
+    fermat.ratio_power_is_one; d = 0 at p | z*conj(z), as every multiple
+    of p is an invalid modulus for z."""
+    norm = z.norm()
+    return _unit_orders(
+        lo, hi, _F_CLASSES, lambda p: script_F(p) if norm % p else 0,
+        partial(ratio_power_is_one, z),
+    )
 
 
 def _gfp_large_prime_bounds(z: GaussianBase, hi: int) -> tuple:
@@ -554,12 +547,6 @@ def _base2_spec(predicate, lo: int, hi: int):
     """The sieve spec of the base-2 pseudoprimes n in [lo, hi) with predicate(n, factors)."""
     ((_, qs, ds),) = _mask_orders((2,), lo, hi)
     return qs, ds, _fermat_large_prime_bounds(2, hi), partial(_base2_confirm, predicate)
-
-
-# (modulus, residue, c): the classes of n on which the exponent is n - c,
-# F(n) by n mod 4, or n - 1 for the classical Fermat test
-_F_CLASSES = ((2, 0, 0), (4, 1, 1), (4, 3, -1))
-_N_CLASSES = ((1, 0, 1),)
 
 
 def _sieve_kernel(task):
@@ -711,10 +698,11 @@ def search_gfp(
     """Ascending Gaussian Fermat pseudoprimes to base z in the query range.
 
     A sieve rules out most composites first: per prime power q, the order
-    of z/conj(z) modulo q, computed once per query, must divide F(n) for
-    every multiple n of q, and n = kP with a large prime P fails when P
-    exceeds |Im(z^F(k))| > 0.  The survivors are confirmed by the exact
-    test, fermat.gaussian_fermat_test.
+    of z/conj(z) modulo q, computed once per query with the V-chain of
+    fermat.ratio_power_is_one, must divide F(n) for every multiple n of q,
+    and n = kP with a large prime P fails when P exceeds |Im(z^F(k))| > 0.
+    The survivors are confirmed by the exact test,
+    fermat.gaussian_fermat_test.
     """
     qs, ds = _gfp_orders(z, query.lo, query.hi)
     spec = (qs, ds, _gfp_large_prime_bounds(z, query.hi), partial(_passes_gfp, z))

@@ -14,7 +14,7 @@ The census applies g_cyclic_from_orders, which the G-cyclic entry calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd
 
 from .arith import (
     MAX_ARG,
@@ -219,25 +219,6 @@ def lambda_power_congruence(n: int) -> bool:
 # Giuga-style power sums
 # ---------------------------------------------------------------------------
 
-def _giuga_sum_prime_power(p: int, k: int, F: int) -> tuple[int, int]:
-    """Sum of z**F(n) over the norm-one group mod p^k || n, as (re, im) mod p^k.
-
-    For odd p the group is cyclic of order m = phi(p^k); z -> z**F maps it
-    onto its unique subgroup of order e = m / gcd(m, F), each image element
-    hit m/e times.  The subgroup of order e factors into a p-part and a
-    part of order e' coprime to p; the coprime part consists of the e'
-    distinct roots of x**e' - 1, which sum to 0 when e' > 1, while the
-    p-part sums to its own size.  Hence the total is phi(p^k) when e is a
-    p-power and 0 otherwise.  For p = 2, F = n, which the group exponent
-    (2, 4 or 2^(k-2)) divides: the total is m, as the closed form gives.
-    """
-    m = gaussian_phi_from_factors(((p, k),))
-    e = m // gcd(m, F)
-    while e % p == 0:
-        e //= p
-    return (m % p**k, 0) if e == 1 else (0, 0)
-
-
 def giuga_membership(n: int, cap: int = DEFAULT_GIUGA_CAP) -> bool:
     """Whether the sum of z**F(n) over the norm-one group equals F(n) mod n.
 
@@ -253,17 +234,22 @@ def giuga_membership(n: int, cap: int = DEFAULT_GIUGA_CAP) -> bool:
 
 
 def giuga_from_factors(n: int, factors) -> bool:
-    """giuga_membership of n, given its factorization; no cap applies."""
+    """giuga_membership of n, given its factorization; no cap applies.
+
+    For odd p the group mod p^k || n is cyclic of order m = phi_G(p^k);
+    z -> z**F maps it onto its subgroup of order e = m / gcd(m, F), hitting
+    each element m/e times.  The part of that subgroup of order e' prime to
+    p consists of the distinct roots of x**e' - 1, which sum to 0 when
+    e' > 1, while the p-part sums to its own size.  So the power sum over
+    the group mod p^k is m when e' = 1, that is when F(p) | F(n), and 0
+    otherwise.  For p = 2, F(n) = n is a multiple of F(2) and of the group
+    exponent (2, 4 or 2^(k-2)), and the sum is m.  Times phi_G(n) / m from
+    the other prime powers, the sum over the group mod n is, mod p^k,
+    phi_G(n) or 0, with imaginary part 0.
+    """
     F = script_F(n)
-    phis = [gaussian_phi_from_factors(((p, k),)) for p, k in factors]
-    total = prod(phis)
-    for (p, k), m in zip(factors, phis):
-        pk = p**k
-        sre, sim = _giuga_sum_prime_power(p, k, F)
-        other = (total // m) % pk
-        if (other * sre - F) % pk != 0 or (other * sim) % pk != 0:
-            return False
-    return True
+    total = gaussian_phi_from_factors(factors)
+    return all(((total if F % script_F(p) == 0 else 0) - F) % p**k == 0 for p, k in factors)
 
 
 # ---------------------------------------------------------------------------

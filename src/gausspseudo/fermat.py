@@ -4,13 +4,15 @@ The Gaussian test asks whether w ** F(n) = 1 in Z[i]/nZ[i] for w = z/conj(z),
 where F(n) is n-1, n+1 or n according to n mod 4.  A base z with
 gcd(n, z*conj(z)) > 1 yields INVALID_BASE, which says nothing about n.
 
-The main path, gaussian_fermat_test, takes z = a+bi and odd n with
-gcd(n, ab(a^2+b^2)) = 1 through the Lucas chain V_k = w^k + w^-k, with
-P = V_1 = 2(a^2-b^2)/(a^2+b^2) and Q = 1: n passes iff V_e = 2 and
-V_(e+1) = P for e = F(n).  That is exact: for x = w^e, V_e = 2 gives
-(x-1)^2 = 0, V_(e+1) = P then gives (x-1)(w - 1/w) = 0, and w - 1/w =
-4abi/(a^2+b^2) is a unit, so x = 1.  With ab = 0 (w = 1 or -1, F(n) even)
-n passes; other n with gcd(n, ab) > 1, every even n, take a raw ladder.
+The main path, ratio_power_is_one, decides w ** e = 1 mod n for z = a+bi,
+any e >= 1 and any n with gcd(n, ab(a^2+b^2)) = 1 through the Lucas chain
+V_k = w^k + w^-k, with P = V_1 = 2(a^2-b^2)/(a^2+b^2) and Q = 1: w ** e = 1
+iff V_e = 2 and V_(e+1) = P.  That is exact in any commutative ring: for
+x = w^e, V_e = 2 gives (x-1)^2 = 0, V_(e+1) = P then gives
+(x-1)(w - 1/w) = 0, and w - 1/w = 4abi/(a^2+b^2) is a unit, so x = 1.
+Other n, with gcd(n, ab) > 1 (every even n, and ab = 0), take a raw
+ladder.  gaussian_fermat_test asks it for e = F(n), and the census order
+tables for the orders of w modulo prime powers.
 Cross-checks: the ratio form on GaussianResidue objects (same ladder) and
 Im(z ** F(n)) = 0 mod n, the imaginary form, on a ladder of its own.
 """
@@ -62,26 +64,34 @@ def _check_candidate(n: int) -> None:
         raise ValueError(f"candidate must satisfy 2 <= n < 2**63, got {n}")
 
 
-def gaussian_fermat_test(n: int, z: GaussianBase) -> TestOutcome:
-    """Pass iff (z/conj(z)) ** F(n) = 1 mod n, by the Lucas V-chain above."""
-    _check_candidate(n)
+def ratio_power_is_one(z: GaussianBase, e: int, n: int) -> bool:
+    """(z/conj(z)) ** e = 1 mod n, for e >= 1 and gcd(n, z*conj(z)) = 1.
+
+    The V-chain above when gcd(n, ab) = 1, else the raw ladder: w - 1/w is
+    then no unit, which includes every even n and ab = 0.
+    """
     a, b, norm = z.re, z.im, z.norm()
-    if gcd(n, norm) != 1:
-        return TestOutcome.INVALID_BASE
-    if a * b == 0:  # w = 1 or -1, and F(n) is even
-        return TestOutcome.PASS
     inv = pow(norm, -1, n)
-    if gcd(n, a * b) != 1:  # w - 1/w is no unit; this includes every even n
-        w = _pow_components((a * a - b * b) * inv % n, 2 * a * b * inv % n, script_F(n), n)
-        return TestOutcome.PASS if w == (1, 0) else TestOutcome.FAIL
+    if gcd(n, a * b) != 1:
+        return _pow_components((a * a - b * b) * inv % n, 2 * a * b * inv % n, e, n) == (1, 0)
     p = 2 * (a * a - b * b) * inv % n
     v, v1 = p, (p * p - 2) % n  # V_1, V_2
-    for bit in bin(script_F(n))[3:]:
+    for bit in bin(e)[3:]:
         if bit == "1":
             v, v1 = (v * v1 - p) % n, (v1 * v1 - 2) % n
         else:
             v, v1 = (v * v - 2) % n, (v * v1 - p) % n
-    return TestOutcome.PASS if v == 2 and v1 == p else TestOutcome.FAIL
+    return v == 2 and v1 == p
+
+
+def gaussian_fermat_test(n: int, z: GaussianBase) -> TestOutcome:
+    """Pass iff (z/conj(z)) ** F(n) = 1 mod n, by ratio_power_is_one."""
+    _check_candidate(n)
+    if gcd(n, z.norm()) != 1:
+        return TestOutcome.INVALID_BASE
+    if z.re * z.im == 0:  # w = 1 or -1, and F(n) is even
+        return TestOutcome.PASS
+    return TestOutcome.PASS if ratio_power_is_one(z, script_F(n), n) else TestOutcome.FAIL
 
 
 def gaussian_fermat_ratio_test(n: int, z: GaussianBase) -> TestOutcome:

@@ -9,6 +9,8 @@ from oracle_utils import (
     brute_psp_masks,
     composite_sieve,
     gpow,
+    naive_script_F,
+    primes_below,
     trial_division_factorize,
     trial_division_is_prime,
     twin_pair_products_below,
@@ -179,6 +181,74 @@ class TestGfpSieve:
                 q *= p
         qs, ds = census._gfp_orders(z, 2, hi)
         assert list(zip(qs, ds)) == expected
+
+
+ORDER_HEIGHTS = (1 << 33, 1 << 40, (1 << 62) - 5000)
+ORDER_WINDOW = 1 << 14
+
+
+def assert_order_table(qs, ds, hi, x, power, is_one, period, p_free):
+    """(qs, ds) against the powers of a unit x: power(y, e, q) is y^e mod q,
+    is_one(y, q) says y = 1 (mod q), and x^period(p) = 1 (mod p).  The
+    table covers the powers q < hi of the primes up to the window length.
+
+    period(p) = 0 means p divides the base or its norm: the table holds
+    (p, 0).  Each d > 0 is the exact order of x mod q: x^d = 1, and
+    x^(d/f) != 1 for each prime f | d, checked mod p for f != p (which
+    suffices).  A d = 0 at a power of another p needs p_free and
+    p | ord_q(x), whose part prime to p divides period(p): x^period(p) != 1
+    (mod q); it ends the powers of p.  Every power left out has order 1.
+    """
+    table = dict(zip(qs, ds))
+    assert len(table) == len(qs)
+    for p in primes_below(ORDER_WINDOW + 1):
+        t = period(p)
+        if t == 0:
+            assert table.pop(p) == 0, p
+            continue
+        q = p
+        while q < hi:
+            d = table.pop(q, 1)
+            if d == 0:
+                assert p_free and not is_one(power(x, t, q), q), q
+                break
+            if d % p:
+                assert is_one(power(x, d, q), q), (q, d)
+            else:
+                assert not p_free, (q, d)
+                y = power(x, d // p, q)
+                assert not is_one(y, q) and is_one(power(y, p, q), q), (q, d)
+            for f, _ in trial_division_factorize(d // gcd(d, p**64)):  # the f != p
+                assert not is_one(power(x, d // f % t, p), p), (q, d, f)
+            q *= p
+    assert not table  # nothing but powers of the sieve primes
+
+
+class TestOrdersAtHeight:
+    """The order tables of 2**14 windows far above the brute-force range,
+    checked with the naive ladder and the builtin pow only."""
+
+    @pytest.mark.parametrize("lo", ORDER_HEIGHTS)
+    def test_gfp_orders(self, lo):
+        hi = lo + ORDER_WINDOW
+        for z in BASE_PANEL + (GaussianBase(-2, 5),):
+            qs, ds = census._gfp_orders(z, lo, hi)
+            assert_order_table(
+                qs, ds, hi, (z.re, z.im),
+                lambda y, e, q: gpow(*y, e, q),
+                lambda y, q: 2 * y[1] % q == 0,  # w^e = 1 iff q | 2*Im(z^e)
+                lambda p: 0 if z.norm() % p == 0 else naive_script_F(p),
+                p_free=False,
+            )
+
+    @pytest.mark.parametrize("lo", ORDER_HEIGHTS)
+    def test_mask_orders(self, lo):
+        hi = lo + ORDER_WINDOW
+        for a, qs, ds in census._mask_orders(range(2, 12), lo, hi):
+            assert_order_table(
+                qs, ds, hi, a, pow, lambda y, q: y == 1,
+                lambda p: 0 if a % p == 0 else p - 1, p_free=True,
+            )
 
 
 SIEVED_CLASSES = (

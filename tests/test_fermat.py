@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle_utils import composite_sieve, gpow, primes_below
 
@@ -16,6 +16,7 @@ from gausspseudo.fermat import (
     gaussian_fermat_test,
     is_fermat_psp,
     is_gfp,
+    ratio_power_is_one,
 )
 from gausspseudo.residues import GaussianBase
 
@@ -213,6 +214,58 @@ class TestMainPathAgreement:
         for z in bases:
             for n in range(2, 20_000):
                 assert gaussian_fermat_test(n, z) is gaussian_fermat_im_test(n, z), (n, str(z))
+
+
+EXPONENTS = st.integers(1, (1 << 64) - 1)
+
+
+def ratio_power_oracle(z, e, n):
+    # w = z/conj(z) has w^e = 1 (mod n) iff z^e = conj(z)^e, iff n | 2*Im(z^e)
+    return 2 * gpow(z.re % n, z.im % n, e, n)[1] % n == 0
+
+
+def assert_ratio_power(z, e, n):
+    assume(gcd(n, z.norm()) == 1)
+    assert ratio_power_is_one(z, e, n) is ratio_power_oracle(z, e, n), (str(z), e, n)
+
+
+class TestRatioPowerIsOne:
+    """ratio_power_is_one for exponents other than F(n), against the
+    imaginary part of z^e on the naive ladder."""
+
+    @settings(max_examples=200)
+    @given(BASES, EXPONENTS, CANDIDATES)
+    def test_random(self, z, e, n):
+        assert_ratio_power(z, e, n)
+
+    @settings(max_examples=100)
+    @given(BASES, st.one_of(st.just(1), EXPONENTS.map(lambda e: e | 1)), CANDIDATES)
+    def test_odd_exponent(self, z, e, n):
+        assert_ratio_power(z, e, n)
+
+    @settings(max_examples=100)
+    @given(BASES, EXPONENTS, CANDIDATES.map(lambda n: n & -2 or 2))
+    def test_even_n(self, z, e, n):
+        assert_ratio_power(z, e, n)
+
+    @settings(max_examples=100)
+    @given(shares_factor_with_ab(), EXPONENTS)
+    def test_n_shares_a_factor_with_ab(self, case, e):
+        n, z = case
+        assert gcd(n, z.re * z.im) > 1
+        assert_ratio_power(z, e, n)
+
+    @settings(max_examples=100)
+    @given(COMPONENTS.filter(bool), st.booleans(), EXPONENTS, CANDIDATES)
+    def test_real_or_imaginary_base(self, c, imaginary, e, n):
+        assert_ratio_power(GaussianBase(0, c) if imaginary else GaussianBase(c, 0), e, n)
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 1 << 63])
+    def test_minus_one_is_one_mod_2(self, e):
+        # z = bi, b odd: w = -1, which is 1 mod 2
+        for b in (1, -3, 5):
+            assert ratio_power_is_one(GaussianBase(0, b), e, 2)
+            assert ratio_power_oracle(GaussianBase(0, b), e, 2)
 
 
 class TestFrobenius:
