@@ -28,6 +28,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_DIVISION_BOUND = 1 << 10
 
 
+def check_domain(n: int, what: str = "argument") -> None:
+    """Raise ValueError unless 2 <= n < 2**63, the domain of every modulus."""
+    if not 2 <= n < MAX_ARG:
+        raise ValueError(f"{what} must satisfy 2 <= n < 2**63, got {n}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 2**64."""
     if n >= 1 << 64:
@@ -113,8 +119,6 @@ def _brent_rho(n: int, c: int) -> int:
 
 def _rho_factor(n: int) -> int:
     """A nontrivial divisor of composite odd n; deterministic c sequence."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 1000):
         d = _brent_rho(n, c)
         if d not in (1, n):
@@ -132,8 +136,7 @@ def factorize(n: int) -> Factorization:
     primes come out sorted, so the result does not depend on the order
     in which the cofactors were split.
     """
-    if not 2 <= n < MAX_ARG:
-        raise ValueError(f"factorization domain is 2 <= n < 2**63, got {n}")
+    check_domain(n)
     original = n
     counts: dict[int, int] = {}
     for p in (2, 3, 5):

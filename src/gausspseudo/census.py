@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 from .arith import (
     MAX_ARG,
+    check_domain,
     factorize,
     gaussian_lambda_from_factors,
     gaussian_phi_from_factors,
@@ -72,6 +73,14 @@ _FACTOR_BATCH = 1 << 16
 _factorize = factorize.__wrapped__
 
 
+def check_residue_filter(residue_filter) -> None:
+    """Raise ValueError unless the filter is None or (m, r) with 0 <= r < m."""
+    if residue_filter is not None:
+        m, r = residue_filter
+        if not 0 <= r < m:
+            raise ValueError(f"bad residue filter {residue_filter}")
+
+
 @dataclass(frozen=True)
 class RangeQuery:
     """Half-open search range [lo, hi) with optional residue filter."""
@@ -84,10 +93,7 @@ class RangeQuery:
     def __post_init__(self) -> None:
         if not 2 <= self.lo < self.hi < MAX_ARG:
             raise ValueError(f"need 2 <= lo < hi < 2**63, got [{self.lo}, {self.hi})")
-        if self.residue_filter is not None:
-            m, r = self.residue_filter
-            if not (m >= 1 and 0 <= r < m):
-                raise ValueError(f"bad residue filter {self.residue_filter}")
+        check_residue_filter(self.residue_filter)
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
@@ -783,8 +789,7 @@ def joint_census(
     gaussian_bases = tuple(gaussian_bases)
     integer_bases = tuple(integer_bases)
     for a in integer_bases:
-        if not 2 <= a < MAX_ARG:
-            raise ValueError(f"integer bases need 2 <= a < 2**63, got {a}")
+        check_domain(a, "integer base")
     counts = [[0] * len(integer_bases) for _ in gaussian_bases]
     if gaussian_bases and integer_bases:
         orders = _mask_orders(integer_bases, query.lo, query.hi)
@@ -856,8 +861,10 @@ def verify_external_list(
     malformed, as does any other line longer than 4096 characters.  Entries
     passing the test are returned (for a published Fermat-pseudoprime list
     they are the interesting finds); entries whose gcd with z*conj(z)
-    exceeds 1 are tallied as invalid-base.
+    exceeds 1 are tallied as invalid-base.  A residue filter (m, r) keeps
+    the n = r mod m; check_residue_filter rejects a bad one up front.
     """
+    check_residue_filter(residue_filter)
     total_read = filtered = invalid = malformed = 0
     passing = []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .arith import (
-    MAX_ARG,
+    check_domain,
     classical_phi_from_factors,
     factorize,
     gaussian_lambda_from_factors,
     gaussian_phi_from_factors,
-    is_prime,
     script_F,
 )
 
@@ -31,11 +30,6 @@ DEFAULT_GIUGA_CAP = 100_000
 
 class ConsistencyError(RuntimeError):
     """Two provably equivalent computations disagreed: an implementation bug."""
-
-
-def _check_n(n: int) -> None:
-    if not 2 <= n < MAX_ARG:
-        raise ValueError(f"argument must satisfy 2 <= n < 2**63, got {n}")
 
 
 def _is_prime(factors) -> bool:
@@ -119,7 +113,7 @@ PREDICATES = {
 
 
 def _decide(predicate, n: int) -> bool:
-    _check_n(n)
+    check_domain(n)
     return predicate(n, factorize(n).factors)
 
 
@@ -131,10 +125,13 @@ def g_carmichael_witness(n: int) -> tuple[bool, dict]:
     """Korselt-style route with evidence: (verdict, witness dict).
 
     Composite n qualifies iff F(p) | F(n) for every prime p | n, and n is
-    either odd square-free, or a multiple of 4 with n/4 in {2, 3, 5} or
-    composite.  On failure the witness records the first violation.
+    either odd square-free, or a multiple of 4 with n/4 no prime q >= 7.
+    The F(p) | F(n) loop already rules out the other even n: 4 | F(p) for
+    every odd p, so n = 2 mod 4 with an odd prime factor fails it, and for
+    a prime q = n/4 >= 7, F(q) = q +- 1 does not divide 4q.  On failure
+    the witness records the first violation.
     """
-    _check_n(n)
+    check_domain(n)
     fac = factorize(n)
     if _is_prime(fac.factors):
         return False, {"prime": n}
@@ -146,13 +143,7 @@ def g_carmichael_witness(n: int) -> tuple[bool, dict]:
         for p, k in fac.factors:
             if k > 1:
                 return False, {"square_factor": p}
-        return True, {}
-    if n % 4 != 0:
-        return False, {"even_not_multiple_of_4": n}
-    q = n // 4
-    if q in (2, 3, 5) or not is_prime(q):
-        return True, {}
-    return False, {"quarter_is_prime": q}
+    return True, {}
 
 
 def is_g_carmichael(n: int) -> bool:
@@ -167,7 +158,7 @@ def is_g_carmichael_via_lambda(n: int) -> bool:
 
 def carmichael_witness(n: int) -> tuple[bool, dict]:
     """Korselt's criterion with evidence: odd square-free composite, p-1 | n-1."""
-    _check_n(n)
+    check_domain(n)
     if n % 2 == 0:
         return False, {"even": n}
     fac = factorize(n)
@@ -227,7 +218,7 @@ def giuga_membership(n: int, cap: int = DEFAULT_GIUGA_CAP) -> bool:
     so the cost is polylogarithmic instead of one exponentiation per
     group element.
     """
-    _check_n(n)
+    check_domain(n)
     if n > cap:
         raise ValueError(f"giuga cap exceeded: {n} > {cap}")
     return giuga_from_factors(n, factorize(n).factors)
@@ -263,7 +254,7 @@ def is_r_williams(n: int, r: int) -> bool:
     numbers; without it, odd prime powers such as 27 would slip in and
     break the equivalence with the Carmichael-type predicates.
     """
-    _check_n(n)
+    check_domain(n)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     return _williams(n, factorize(n).factors, r)
@@ -277,7 +268,7 @@ def carmichael_and_g_carmichael_3mod4(n: int, factors=None) -> bool:
     an implementation bug and raises ConsistencyError.  factors, when
     given, is the factorization of n, which is then not recomputed.
     """
-    _check_n(n)
+    check_domain(n)
     if n % 4 != 3:
         raise ValueError(f"argument must be 3 mod 4, got {n}")
     if factors is None:
@@ -322,7 +313,7 @@ def classify(
     and carmichael are cross-checked against the table, and a disagreement
     raises ConsistencyError.
     """
-    _check_n(n)
+    check_domain(n)
     factors = factorize(n).factors
     flags = {name: predicate(n, factors) for name, predicate in PREDICATES.items()}
 
@@ -332,16 +323,10 @@ def classify(
         raise ConsistencyError(f"witness routes disagree with the predicate table at {n}")
     witnesses = {**c_witness, **witness}
 
-    giuga = None
-    if with_giuga:
-        if n > giuga_cap:
-            raise ValueError(f"giuga cap exceeded: {n} > {giuga_cap}")
-        giuga = giuga_from_factors(n, factors)
-
     return ClassificationReport(
         n=n,
         is_prime=_is_prime(factors),
         **flags,
-        giuga_member=giuga,
+        giuga_member=giuga_membership(n, giuga_cap) if with_giuga else None,
         witnesses=witnesses,
     )

@@ -38,22 +38,30 @@ from .residues import GaussianBase
 _PROGRESS_INTERVAL = 0.5
 
 
+# The option types only parse; the library checks the values.
+
 def _parse_filter(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("filter must be 'modulus,residue'")
     try:
-        m, r = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if m < 1 or not 0 <= r < m:
-        raise argparse.ArgumentTypeError(f"bad residue filter {text!r}")
+        m, r = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("filter must be 'modulus,residue'") from None
     return m, r
 
 
 def _parse_base(text: str) -> GaussianBase:
     try:
         return GaussianBase.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_bases(text: str) -> tuple[GaussianBase, ...]:
+    return tuple(_parse_base(part) for part in text.split(",") if part.strip())
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -103,9 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", parents=[common], help="joint Gaussian/classical pseudoprime counts")
     p_table.add_argument("--limit", type=int, default=40_000_000)
     p_table.add_argument("--filter", type=_parse_filter, default=None, metavar="M,R")
-    p_table.add_argument("--gaussian-bases", type=str, default=None,
+    p_table.add_argument("--gaussian-bases", type=_parse_bases, default=TABLE_GAUSSIAN_BASES,
                          help="comma-separated bases, e.g. '1+2i,1+4i' (empty for none)")
-    p_table.add_argument("--integer-bases", type=str, default=None,
+    p_table.add_argument("--integer-bases", type=_parse_ints, default=TABLE_INTEGER_BASES,
                          help="comma-separated integers, e.g. '2,3,4'")
     p_table.add_argument("--workers", type=int, default=available_cpus())
     p_table.add_argument("--format", choices=("plain", "csv", "records"), default="plain")
@@ -201,22 +209,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.gaussian_bases is None:
-        gbases = TABLE_GAUSSIAN_BASES
-    else:
-        text = args.gaussian_bases.strip()
-        gbases = tuple(
-            GaussianBase.parse(part) for part in text.split(",") if part.strip()
-        )
-    if args.integer_bases is None:
-        ibases = TABLE_INTEGER_BASES
-    else:
-        ibases = tuple(
-            int(part) for part in args.integer_bases.split(",") if part.strip()
-        )
     query = RangeQuery(2, args.limit, args.filter, args.workers)
     progress = _Progress("table", args.quiet)
-    table = joint_census(query, gbases, ibases, progress=progress)
+    table = joint_census(query, args.gaussian_bases, args.integer_bases, progress=progress)
     sys.stdout.write(_render_table(table, query, args.format))
     return 0
 

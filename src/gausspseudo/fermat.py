@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from math import gcd
 
-from .arith import MAX_ARG, is_prime, script_F
+from .arith import check_domain, is_prime, script_F
 from .residues import GaussianBase, InvalidBase, _pow_components, unit_ratio
 
 
@@ -59,11 +59,6 @@ EQUIVALENCE_PANEL: tuple[GaussianBase, ...] = BASE_PANEL + tuple(
 )
 
 
-def _check_candidate(n: int) -> None:
-    if not 2 <= n < MAX_ARG:
-        raise ValueError(f"candidate must satisfy 2 <= n < 2**63, got {n}")
-
-
 def ratio_power_is_one(z: GaussianBase, e: int, n: int) -> bool:
     """(z/conj(z)) ** e = 1 mod n, for e >= 1 and gcd(n, z*conj(z)) = 1.
 
@@ -86,7 +81,7 @@ def ratio_power_is_one(z: GaussianBase, e: int, n: int) -> bool:
 
 def gaussian_fermat_test(n: int, z: GaussianBase) -> TestOutcome:
     """Pass iff (z/conj(z)) ** F(n) = 1 mod n, by ratio_power_is_one."""
-    _check_candidate(n)
+    check_domain(n, "candidate")
     if gcd(n, z.norm()) != 1:
         return TestOutcome.INVALID_BASE
     if z.re * z.im == 0:  # w = 1 or -1, and F(n) is even
@@ -96,7 +91,7 @@ def gaussian_fermat_test(n: int, z: GaussianBase) -> TestOutcome:
 
 def gaussian_fermat_ratio_test(n: int, z: GaussianBase) -> TestOutcome:
     """Pass iff (z/conj(z)) ** F(n) = 1 mod n; primes never fail."""
-    _check_candidate(n)
+    check_domain(n, "candidate")
     try:
         ratio = unit_ratio(z, n)
     except InvalidBase:
@@ -107,7 +102,7 @@ def gaussian_fermat_ratio_test(n: int, z: GaussianBase) -> TestOutcome:
 
 def gaussian_fermat_im_test(n: int, z: GaussianBase) -> TestOutcome:
     """Pass iff Im(z ** F(n)) = 0 mod n; independent of the ratio form."""
-    _check_candidate(n)
+    check_domain(n, "candidate")
     if gcd(n, z.norm()) != 1:
         return TestOutcome.INVALID_BASE
     a, b = z.re % n, z.im % n
@@ -125,7 +120,7 @@ def gaussian_fermat_im_test(n: int, z: GaussianBase) -> TestOutcome:
 
 def is_gfp(n: int, z: GaussianBase) -> bool:
     """Gaussian Fermat pseudoprime: composite, valid base, and the test passes."""
-    _check_candidate(n)
+    check_domain(n, "candidate")
     if is_prime(n):
         return False
     return gaussian_fermat_ratio_test(n, z) is TestOutcome.PASS
@@ -133,7 +128,7 @@ def is_gfp(n: int, z: GaussianBase) -> bool:
 
 def classical_fermat_test(n: int, a: int) -> TestOutcome:
     """Pass iff a**(n-1) = 1 mod n; gcd(a, n) > 1 yields INVALID_BASE."""
-    _check_candidate(n)
+    check_domain(n, "candidate")
     if a < 2:
         raise ValueError(f"integer base must be >= 2, got {a}")
     if gcd(a, n) != 1:
@@ -143,7 +138,7 @@ def classical_fermat_test(n: int, a: int) -> TestOutcome:
 
 def is_fermat_psp(n: int, a: int) -> bool:
     """Classical Fermat pseudoprime to base a (composite n only)."""
-    _check_candidate(n)
+    check_domain(n, "candidate")
     if is_prime(n):
         return False
     return classical_fermat_test(n, a) is TestOutcome.PASS

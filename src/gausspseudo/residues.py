@@ -14,9 +14,8 @@ import re as _regex
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import factorize
+from .arith import check_domain, factorize
 
-MAX_MODULUS = 1 << 63
 COMPONENT_CAP = 1 << 31
 MAX_EXPONENT = (1 << 64) - 1
 DEFAULT_ENUMERATION_CAP = 10_000
@@ -32,11 +31,6 @@ class InvalidBase(ValueError):
     This is a precondition failure of the test, never evidence that n is
     composite, so it is kept distinct from an ordinary test failure.
     """
-
-
-def _check_modulus(n: int) -> None:
-    if not 2 <= n < MAX_MODULUS:
-        raise ValueError(f"modulus must satisfy 2 <= n < 2**63, got {n}")
 
 
 _BASE_PATTERN = _regex.compile(r"^\s*([+-]?\d+)\s*([+-])\s*(\d+)\s*i\s*$")
@@ -96,7 +90,7 @@ class GaussianResidue:
     n: int
 
     def __post_init__(self) -> None:
-        _check_modulus(self.n)
+        check_domain(self.n, "modulus")
         if not (0 <= self.re < self.n and 0 <= self.im < self.n):
             raise ValueError(
                 f"components must lie in [0, {self.n}), got ({self.re}, {self.im})"
@@ -151,7 +145,7 @@ class GaussianResidue:
 
 def reduce(z: GaussianBase, n: int) -> GaussianResidue:
     """Canonical projection of a Gaussian integer into Z[i]/nZ[i]."""
-    _check_modulus(n)
+    check_domain(n, "modulus")
     return GaussianResidue(z.re % n, z.im % n, n)
 
 
@@ -161,7 +155,7 @@ def unit_ratio(z: GaussianBase, n: int) -> GaussianResidue:
     Base validity is decided by the unreduced norm z*conj(z) over Z, not the
     reduced one.
     """
-    _check_modulus(n)
+    check_domain(n, "modulus")
     if gcd(n, z.norm()) != 1:
         raise InvalidBase(f"gcd({n}, {z.norm()}) > 1: base {z} cannot test {n}")
     w = reduce(z, n)
@@ -199,7 +193,7 @@ def _crt_pairs(
 def enumerate_group(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[GaussianResidue]:
     """All norm-one elements of Z[i]/nZ[i], in ascending (re, im) order:
     those of each prime power q || n, glued with the CRT."""
-    _check_modulus(n)
+    check_domain(n, "modulus")
     if n > cap:
         raise ValueError(f"enumeration cap exceeded: {n} > {cap}")
     pairs = None

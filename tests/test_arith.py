@@ -23,6 +23,7 @@ from oracle_utils import (
 from gausspseudo.arith import (
     Factorization,
     beta,
+    check_domain,
     classical_lambda,
     classical_phi,
     factorize,
@@ -32,6 +33,37 @@ from gausspseudo.arith import (
     is_prime,
     script_F,
 )
+from gausspseudo.classify import classify, is_g_lehmer
+from gausspseudo.fermat import gaussian_fermat_test
+from gausspseudo.residues import GaussianBase, GaussianResidue, enumerate_group, reduce, unit_ratio
+
+Z12 = GaussianBase(1, 2)
+
+# Public entry points that take a modulus n, each called at n.
+_DOMAIN_CALLS = {
+    "factorize": factorize,
+    "gaussian_fermat_test": lambda n: gaussian_fermat_test(n, Z12),
+    "classify": classify,
+    "is_g_lehmer": is_g_lehmer,
+    "reduce": lambda n: reduce(Z12, n),
+    "unit_ratio": lambda n: unit_ratio(Z12, n),
+    "GaussianResidue": lambda n: GaussianResidue(0, 0, n),
+    "enumerate_group": enumerate_group,
+}
+
+
+class TestCheckDomain:
+    def test_bounds(self):
+        check_domain(2)
+        check_domain((1 << 63) - 1)
+        with pytest.raises(ValueError, match="modulus must satisfy"):
+            check_domain(1, "modulus")
+
+    @pytest.mark.parametrize("n", [1, 1 << 63])
+    @pytest.mark.parametrize("name", sorted(_DOMAIN_CALLS))
+    def test_entry_points_share_it(self, name, n):
+        with pytest.raises(ValueError, match=r"must satisfy 2 <= n < 2\*\*63, got"):
+            _DOMAIN_CALLS[name](n)
 
 
 class TestIsPrime:

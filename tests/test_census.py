@@ -738,6 +738,13 @@ class TestVerifyExternalList:
         with pytest.raises(OSError):
             verify_external_list(tmp_path / "nope.txt", Z12)
 
+    @pytest.mark.parametrize("residue_filter", [(0, 0), (3, 5), (4, 4), (-4, 1)])
+    def test_bad_filter_raises(self, tmp_path, residue_filter):
+        f = tmp_path / "list.txt"
+        f.write_text("341\n")
+        with pytest.raises(ValueError, match="bad residue filter"):
+            verify_external_list(f, Z12, residue_filter)
+
     def test_non_ascii_digits_are_malformed(self, tmp_path):
         # superscript two, Arabic-Indic fifteen, fullwidth twelve
         f = tmp_path / "list.txt"

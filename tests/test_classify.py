@@ -30,6 +30,7 @@ from gausspseudo.classify import (
     ConsistencyError,
     carmichael_and_g_carmichael_3mod4,
     classify,
+    g_carmichael_witness,
     giuga_membership,
     is_carmichael,
     is_cyclic_number,
@@ -66,6 +67,16 @@ class TestGCarmichael:
                 continue
             lam_route = naive_script_F(n) % gaussian_lambda_from_factors(fac) == 0
             assert is_g_carmichael(n) == lam_route, n
+
+    def test_witness_route_matches_predicate_to_1e5(self):
+        # F(p) | F(n) already rules out n = 2 mod 4 and n = 4q with q >= 7
+        # prime, so no even n needs a witness of its own
+        spf = smallest_prime_factor_sieve(100_000)
+        for n in range(2, 100_000):
+            verdict, witness = g_carmichael_witness(n)
+            assert verdict == PREDICATES["g_carmichael"](n, factors_from_spf(n, spf)), n
+            assert len(witness) == (not verdict), n
+            assert set(witness) <= {"prime", "f_divisibility_violation", "square_factor"}, n
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +94,12 @@ class TestSearchCommand:
         code, _, _ = run_cli(capsys, "search", "g_cyclic", "--hi", "100", "--filter", "4")
         assert code == 2
 
+    def test_non_integer_filter_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "search", "g_cyclic", "--hi", "100", "--filter", "a,b")
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith("filter must be 'modulus,residue'")
+
     def test_csv_format(self, capsys):
         _, out, _ = run_cli(
             capsys, "search", "twin_pair_product", "--hi", "200", "--quiet",
@@ -149,6 +156,19 @@ class TestTableCommand:
         )
         assert code == 2
 
+    def test_records_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--limit", "1000", "--quiet",
+            "--gaussian-bases", "1+2i,1+1i", "--integer-bases", "2,3",
+            "--format", "records",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["kind"] for r in records] == ["joint_census_bases"] + ["joint_census_row"] * 2
+        assert records[0]["values"] == ["2", "3"]
+        assert [r["base"] for r in records[1:]] == ["1+2i", "1+1i"]
+        assert all(r["query"] == {"lo": 2, "hi": 1000, "residue_filter": None} for r in records)
+
     def test_byte_identical_across_workers(self, capsys):
         args = ["table", "--limit", "5000", "--quiet", "--gaussian-bases", "1+2i",
                 "--integer-bases", "2,3,4", "--format", "csv"]
@@ -184,6 +204,15 @@ class TestVerifyCommand:
         joined = run_cli(capsys, *args, "--base=-2+5i")
         assert joined[0] in (0, 1)
         assert run_cli(capsys, *args, "--base", "-2+5i") == joined
+
+    def test_bad_filter_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "list.txt"
+        f.write_text("143\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--file", str(f), "--base", "1+2i", "--filter", "3,5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: bad residue filter (3, 5)\n"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

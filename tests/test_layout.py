@@ -32,3 +32,26 @@ def test_sources_found():
 def test_no_private_name_crosses_modules():
     found = {hit for path in SOURCES for hit in private_imports(path)}
     assert found <= ALLOWED_PRIVATE_IMPORTS, sorted(found - ALLOWED_PRIVATE_IMPORTS)
+
+
+def _is_literal_2_63(node):
+    """1 << 63 or 2 ** 63 written out as code."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant)):
+        return False
+    pair = (getattr(node.left, "value", None), node.right.value)
+    return (isinstance(node.op, ast.LShift) and pair == (1, 63)) or (
+        isinstance(node.op, ast.Pow) and pair == (2, 63)
+    )
+
+
+def test_domain_rule_has_one_home():
+    """The bound 2**63 is written only in arith.py, whose check_domain is
+    the one check of 2 <= n < 2**63; no module grows its own _check_*."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name != "arith.py" and _is_literal_2_63(node):
+                found.append((path.name, node.lineno, ast.unparse(node)))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
+                found.append((path.name, node.lineno, node.name))
+    assert not found, found
