@@ -2,29 +2,26 @@
 joint (Gaussian base x integer base) pseudoprime table, and verification
 of externally published pseudoprime lists.
 
-Ranges are split into fixed-size blocks scattered over worker processes,
-never more of them than the CPUs this process may run on; block results
-are merged in block order, so output is byte-identical for any worker
-count.  Primality, factorizations and (phi_G, lambda_G) inside a block
-come from sieves by the primes up to min(sqrt(hi), 2**16); above 2**32,
-Miller-Rabin and factorize settle only the n those primes leave open.
+A range query builds its block kernel and parameters once, in the parent:
+the order tables and large-prime bounds of a sieve, or the batch and rule
+of an exact scan.  Fixed-size blocks go to worker processes, never more of
+them than the CPUs this process may run on; block results are merged in
+block order, so output is byte-identical for any worker count.  Inside a
+block, primality, factorizations and (phi_G, lambda_G) come from sieves by
+the primes up to min(sqrt(hi), 2**16); above 2**32, Miller-Rabin and
+factorize settle only the n those primes leave open.
 
-Every search is a sieve followed by exact confirmation.  One kernel,
-_sieve_kernel, serves the joint table (per integer base a), the Gaussian
-pseudoprime search (base z), the Korselt classes g_carmichael and g_lehmer,
-and carmichael and williams_1, whose members are base-2 pseudoprimes.  It
-sieves each block by a divisor that the exponent (F(n), or n-1 for the
-classical test) must have for every prime power q | n: the order of a or
-of z/conj(z) modulo q, or the group exponent or group order of q.  One
-builder, _unit_orders, gives both order tables: the builtin pow decides
-a^e = 1, and the V-chain of fermat.ratio_power_is_one (z/conj(z))^e = 1.
-The sieve also rules out n = kP with a large prime P.  The exact test, or the
-factorization and the class predicate, then runs on a few percent of the
-composites only.  g_cyclic and congruence_exception are rules on (n,
-phi_G(n), lambda_G(n)), which a multiplicative sieve gives without
-factoring n.  Only giuga factors every n of the searched progression.
-Membership comes from classify plus two search rules (g_lehmer's three
-prime factors, congruence_exception).  All kernels are pure; a cancelled
+One kernel, _sieve_kernel, serves the joint table (per integer base a), the
+Gaussian pseudoprime search (base z), the Korselt classes g_carmichael and
+g_lehmer, and the base-2 pseudoprimes of carmichael and williams_1.  It
+sieves by a divisor that the exponent (F(n), or n-1 for the classical test)
+must have for every prime power q | n: the order of a or of z/conj(z) mod q
+(_unit_orders, by pow or the V-chain of fermat.ratio_power_is_one), or the
+group exponent or order of q.  It also rules out n = kP with a large prime
+P, so the exact test, or the factorization and the class predicate, runs on
+a few percent of the composites only.  g_cyclic and congruence_exception are
+rules on (n, phi_G(n), lambda_G(n)), which a multiplicative sieve gives; only
+giuga factors every n of its progression.  All kernels are pure; a cancelled
 run simply never returns a partial result.
 """
 
@@ -91,8 +88,8 @@ class RangeQuery:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not 2 <= self.lo < self.hi < MAX_ARG:
-            raise ValueError(f"need 2 <= lo < hi < 2**63, got [{self.lo}, {self.hi})")
+        if not 2 <= self.lo < self.hi <= MAX_ARG:
+            raise ValueError(f"need 2 <= lo < hi <= 2**63, got [{self.lo}, {self.hi})")
         check_residue_filter(self.residue_filter)
         if self.workers < 1:
             raise ValueError("workers must be positive")
@@ -172,10 +169,6 @@ def _composite_flags(lo: int, hi: int) -> bytearray:
 # Block scheduling
 # ---------------------------------------------------------------------------
 
-def _blocks(lo: int, hi: int, block_size: int):
-    return [(b, min(b + block_size, hi)) for b in range(lo, hi, block_size)]
-
-
 def available_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS has one."""
     try:
@@ -199,13 +192,14 @@ def _run_blocks(kernel, tasks, workers: int, progress=None):
     return results
 
 
-def _search_blocks(kernel, query: RangeQuery, residue_filter, params, block_size, progress):
-    """The hits of kernel over the blocks of query, in block order; each
-    block's task is (lo, hi, residue_filter, *params), and its result the
-    one list of a single spec."""
-    blocks = _blocks(query.lo, query.hi, block_size)
-    tasks = [(lo, hi, residue_filter, *params) for lo, hi in blocks]
-    return [n for (part,) in _run_blocks(kernel, tasks, query.workers, progress) for n in part]
+def _query_blocks(kernel, params, query: RangeQuery, residue_filter, block_size, progress):
+    """The results of kernel over the blocks of query, in block order; each
+    block's task is (lo, hi, residue_filter, *params)."""
+    tasks = [
+        (lo, min(lo + block_size, query.hi), residue_filter, *params)
+        for lo in range(query.lo, query.hi, block_size)
+    ]
+    return _run_blocks(kernel, tasks, query.workers, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +376,33 @@ def _congruence_exception(n: int, phi: int, lam: int) -> bool:
     )
 
 
-def _batch_kernel(batch, task):
+def _batch_kernel(task):
     """Exact scan that decides every n of the searched progression: batch
-    gives one column per argument of predicate after n (_factor_batch for
+    gives one column per argument of rule after n (_factor_batch for
     giuga, _totient_batch for the rules on phi_G and lambda_G).  Returns
     [hits], as _sieve_kernel does for one spec."""
-    lo, hi, residue_filter, predicate = task
+    lo, hi, residue_filter, batch, rule = task
     m, r = residue_filter or (1, 0)
     hits = []
     for blo in range(lo, hi, _FACTOR_BATCH):
         bhi = min(blo + _FACTOR_BATCH, hi)
         ns = range(blo + (r - blo) % m, bhi, m)
-        hits += compress(ns, map(predicate, ns, *batch(ns.start, bhi, m)))
+        hits += compress(ns, map(rule, ns, *batch(ns.start, bhi, m)))
     return [hits]
 
 
-_factored_kernel = partial(_batch_kernel, _factor_batch)
-_totient_kernel = partial(_batch_kernel, _totient_batch)
+def _twin_kernel(task):
+    """[the products p(p + 2) of twin primes with p = 3 (mod 4), so that
+    8 | 2p + 2, in [lo, hi) after the filter]: one walk over the p up to
+    sqrt(hi), so one task covers the whole query."""
+    lo, hi, residue_filter = task
+    m, r = residue_filter or (1, 0)
+    hits = []
+    for p in range(max(3, isqrt(lo) - 2) | 3, isqrt(hi) + 1, 4):  # other p: n < lo or n >= hi
+        n = p * (p + 2)
+        if lo <= n < hi and n % m == r and is_prime(p) and is_prime(p + 2):
+            hits.append(n)
+    return [hits]
 
 
 # (modulus, residue, c): the classes of n on which the exponent is n - c,
@@ -444,13 +448,10 @@ def _unit_orders(lo: int, hi: int, classes, period, is_one):
     return qs, ds
 
 
-def _mask_orders(integer_bases, lo: int, hi: int):
-    """Per integer base a: (a, qs, ds), the _unit_orders of a for n - 1."""
-    return tuple(
-        (a, *_unit_orders(
-            lo, hi, _N_CLASSES, lambda p: p - 1 if a % p else 0, lambda e, q: pow(a, e, q) == 1
-        ))
-        for a in integer_bases
+def _mask_orders(a: int, lo: int, hi: int):
+    """The _unit_orders (qs, ds) of the integer base a for n - 1."""
+    return _unit_orders(
+        lo, hi, _N_CLASSES, lambda p: p - 1 if a % p else 0, lambda e, q: pow(a, e, q) == 1
     )
 
 
@@ -505,6 +506,12 @@ def _passes_fermat(a: int, n: int) -> bool:
     return pow(a, n - 1, n) == 1
 
 
+def _fermat_spec(a: int, lo: int, hi: int, confirm):
+    """The sieve spec of the n in [lo, hi) that pass base a and confirm: the
+    orders of a for n - 1 and Pinch's bounds (each block keeps those < hi)."""
+    return (*_mask_orders(a, lo, hi), _fermat_large_prime_bounds(a, hi), confirm)
+
+
 def _passes_gfp(z: GaussianBase, n: int) -> bool:
     return gaussian_fermat_test(n, z) is TestOutcome.PASS
 
@@ -549,12 +556,6 @@ def _base2_confirm(predicate, n: int) -> bool:
     return _passes_fermat(2, n) and _factored_confirm(predicate, n)
 
 
-def _base2_spec(predicate, lo: int, hi: int):
-    """The sieve spec of the base-2 pseudoprimes n in [lo, hi) with predicate(n, factors)."""
-    ((_, qs, ds),) = _mask_orders((2,), lo, hi)
-    return qs, ds, _fermat_large_prime_bounds(2, hi), partial(_base2_confirm, predicate)
-
-
 def _sieve_kernel(task):
     """Per spec (qs, ds, bounds, confirm), the n of one block, after the
     residue filter, that pass confirm(n), ascending.
@@ -592,14 +593,9 @@ def _sieve_kernel(task):
 
 def _psp_mask_kernel(task):
     """Composite n (after filter) with their classical-pseudoprime base
-    mask, ascending: bit j is set iff a^(n-1) = 1 (mod n) for the j-th
-    base a.  _sieve_kernel sieves each base by its orders and the
-    large-prime rule before the exact test confirms the survivors."""
-    lo, hi, residue_filter, base_orders = task
-    specs = [
-        (qs, ds, _fermat_large_prime_bounds(a, hi), partial(_passes_fermat, a))
-        for a, qs, ds in base_orders
-    ]
+    mask, ascending: bit j is set iff n passes the j-th spec of specs, the
+    _fermat_spec of the j-th base a confirmed by a^(n-1) = 1 (mod n)."""
+    lo, hi, residue_filter, specs = task
     masks = {}
     for j, hits in enumerate(_sieve_kernel((lo, hi, residue_filter, _N_CLASSES, specs))):
         for n in hits:
@@ -611,10 +607,10 @@ def _joint_kernel(task):
     """One block of the joint table: counts[i][j] of the composites that
     pass Gaussian base i and integer base j.  The Gaussian tests run on the
     classical pseudoprimes of _psp_mask_kernel only."""
-    lo, hi, residue_filter, base_orders, gaussian_bases = task
-    counts = [[0] * len(base_orders) for _ in gaussian_bases]
-    for n, mask in _psp_mask_kernel((lo, hi, residue_filter, base_orders)):
-        columns = [j for j in range(len(base_orders)) if mask >> j & 1]
+    lo, hi, residue_filter, specs, gaussian_bases = task
+    counts = [[0] * len(specs) for _ in gaussian_bases]
+    for n, mask in _psp_mask_kernel((lo, hi, residue_filter, specs)):
+        columns = [j for j in range(len(specs)) if mask >> j & 1]
         for row, z in zip(counts, gaussian_bases):
             if gaussian_fermat_test(n, z) is TestOutcome.PASS:
                 for j in columns:
@@ -622,58 +618,55 @@ def _joint_kernel(task):
     return counts
 
 
-def _twin_pair_products(query: RangeQuery) -> list[int]:
-    """Products pq of twin primes with p+q divisible by 8 (equivalently p = 3 mod 4)."""
-    m, r = query.residue_filter or (1, 0)
-    hits = []
-    p = max(3, isqrt(query.lo) - 2)
-    p += (3 - p) % 4  # every smaller p = 3 (mod 4) has p(p + 2) < lo
-    while (n := p * (p + 2)) < query.hi:
-        if n >= query.lo and n % m == r and is_prime(p) and is_prime(p + 2):
-            hits.append(n)
-        p += 4
-    return hits
+def _korselt_search(group_order, kmax: int, predicate, lo: int, hi: int):
+    """A Korselt class: the sieve by group_order(q) | F(n) at each prime power
+    q | n and the large-prime rule up to kmax; factored survivors are decided."""
+    confirm = partial(_factored_confirm, predicate)
+    spec = (*_korselt_orders(group_order, lo, hi), _korselt_bounds(kmax), confirm)
+    return _sieve_kernel, (_F_CLASSES, (spec,))
 
 
-class _ClassSearch(NamedTuple):
-    """How search_classifier finds one class.
-
-    kernel runs one block and predicate(n, factors) decides membership;
-    for _totient_kernel it is a rule(n, phi_G(n), lambda_G(n)).  A Korselt
-    class has a group_order, the arith function whose value at each prime
-    power q | n divides F(n) for every member n: _sieve_kernel sieves by it
-    and by the large-prime rule for cofactors up to kmax, then confirms with
-    predicate; without one, it takes the base-2 pseudoprimes of _base2_spec.
-    odd_only classes have no even member; capped ones refuse ranges above
-    the giuga cap.  kernel None is the twin-prime enumeration.
-    """
-
-    kernel: object
-    predicate: object = None
-    group_order: object = None
-    kmax: int = 0
-    odd_only: bool = False
-    capped: bool = False
+def _base2_search(predicate, lo: int, hi: int):
+    """The sieve of the joint table's base-2 column; the base-2 pseudoprimes
+    it leaves are factored and decided by predicate(n, factors)."""
+    spec = _fermat_spec(2, lo, hi, partial(_base2_confirm, predicate))
+    return _sieve_kernel, (_N_CLASSES, (spec,))
 
 
-# Every member of g_cyclic and congruence_exception has gcd(phi_G(n), n) = 1,
-# and phi_G(n) is even for every n >= 2.  Carmichael and 1-Williams numbers
-# are odd base-2 pseudoprimes: p - 1 | n - 1 for all p | n, one p odd.  Each
-# kmax was the fastest on windows of 2**16 in [2**23, 2**24): larger ones
-# cost more in cofactor codes than they save in factorizations.
+def _unsieved(kernel, *params):
+    """The builder of a search that needs no table of the query."""
+    return lambda lo, hi: (kernel, params)
+
+
+class _ClassEntry(NamedTuple):
+    build: object  # (lo, hi) -> (block kernel, parameters), once per query
+    odd_only: bool = False  # every member is odd: search the odd n only
+    capped: bool = False  # giuga_cap bounds the query
+    blocked: bool = True  # else one task covers the whole query
+
+
+# Each kmax was the fastest on windows of 2**16 in [2**23, 2**24): larger ones
+# cost more in cofactor codes than they save in factorizations.  g_cyclic and
+# congruence_exception are rules on (n, phi_G(n), lambda_G(n)); their members
+# have gcd(phi_G(n), n) = 1 with phi_G(n) even.  Carmichael and 1-Williams
+# numbers are odd base-2 pseudoprimes: p - 1 | n - 1 for all p | n, one p odd.
 _CLASS_SEARCHES = {
-    "g_carmichael": _ClassSearch(
-        _sieve_kernel, PREDICATES["g_carmichael"], gaussian_lambda_from_factors, kmax=128
+    "g_carmichael": _ClassEntry(
+        partial(_korselt_search, gaussian_lambda_from_factors, 128, PREDICATES["g_carmichael"])
     ),
-    "carmichael": _ClassSearch(_sieve_kernel, PREDICATES["carmichael"], odd_only=True),
-    "g_cyclic": _ClassSearch(_totient_kernel, g_cyclic_from_orders, odd_only=True),
-    "g_lehmer": _ClassSearch(
-        _sieve_kernel, _g_lehmer_multi, gaussian_phi_from_factors, kmax=24
+    "carmichael": _ClassEntry(partial(_base2_search, PREDICATES["carmichael"]), odd_only=True),
+    "g_cyclic": _ClassEntry(
+        _unsieved(_batch_kernel, _totient_batch, g_cyclic_from_orders), odd_only=True
     ),
-    "congruence_exception": _ClassSearch(_totient_kernel, _congruence_exception, odd_only=True),
-    "giuga": _ClassSearch(_factored_kernel, giuga_from_factors, capped=True),
-    "williams_1": _ClassSearch(_sieve_kernel, PREDICATES["williams_1"], odd_only=True),
-    "twin_pair_product": _ClassSearch(None),
+    "g_lehmer": _ClassEntry(
+        partial(_korselt_search, gaussian_phi_from_factors, 24, _g_lehmer_multi)
+    ),
+    "congruence_exception": _ClassEntry(
+        _unsieved(_batch_kernel, _totient_batch, _congruence_exception), odd_only=True
+    ),
+    "giuga": _ClassEntry(_unsieved(_batch_kernel, _factor_batch, giuga_from_factors), capped=True),
+    "williams_1": _ClassEntry(partial(_base2_search, PREDICATES["williams_1"]), odd_only=True),
+    "twin_pair_product": _ClassEntry(_unsieved(_twin_kernel), blocked=False),
 }
 
 CLASSIFIER_NAMES = tuple(_CLASS_SEARCHES)
@@ -710,11 +703,12 @@ def search_gfp(
     The survivors are confirmed by the exact test,
     fermat.gaussian_fermat_test.
     """
-    qs, ds = _gfp_orders(z, query.lo, query.hi)
-    spec = (qs, ds, _gfp_large_prime_bounds(z, query.hi), partial(_passes_gfp, z))
-    return _search_blocks(
-        _sieve_kernel, query, query.residue_filter, (_F_CLASSES, (spec,)), block_size, progress
+    bounds = _gfp_large_prime_bounds(z, query.hi)
+    spec = (*_gfp_orders(z, query.lo, query.hi), bounds, partial(_passes_gfp, z))
+    parts = _query_blocks(
+        _sieve_kernel, (_F_CLASSES, (spec,)), query, query.residue_filter, block_size, progress
     )
+    return [n for (hits,) in parts for n in hits]
 
 
 def search_classifier(
@@ -745,27 +739,20 @@ def search_classifier(
     Membership is decided by classify's PREDICATES, g_cyclic_from_orders
     and giuga_from_factors.
     """
-    spec = _CLASS_SEARCHES.get(which)
-    if spec is None:
+    entry = _CLASS_SEARCHES.get(which)
+    if entry is None:
         raise ValueError(f"unknown classifier {which!r}; choose from {CLASSIFIER_NAMES}")
-    if spec.kernel is None:
-        return _twin_pair_products(query)
-    if spec.capped and query.hi - 1 > giuga_cap:
+    if entry.capped and query.hi - 1 > giuga_cap:
         raise ValueError(f"giuga cap exceeded: {query.hi - 1} > {giuga_cap}")
     residue_filter = query.residue_filter
-    if spec.odd_only:
+    if entry.odd_only:
         residue_filter = _odd_filter(residue_filter)
         if residue_filter is None:
             return []
-    if spec.group_order is not None:
-        orders = _korselt_orders(spec.group_order, query.lo, query.hi)
-        confirm = partial(_factored_confirm, spec.predicate)
-        params = (_F_CLASSES, ((*orders, _korselt_bounds(spec.kmax), confirm),))
-    elif spec.kernel is _sieve_kernel:
-        params = (_N_CLASSES, (_base2_spec(spec.predicate, query.lo, query.hi),))
-    else:
-        params = (spec.predicate,)
-    return _search_blocks(spec.kernel, query, residue_filter, params, block_size, progress)
+    kernel, params = entry.build(query.lo, query.hi)
+    size = block_size if entry.blocked else query.hi - query.lo
+    parts = _query_blocks(kernel, params, query, residue_filter, size, progress)
+    return [n for (hits,) in parts for n in hits]
 
 
 def joint_census(
@@ -792,12 +779,13 @@ def joint_census(
         check_domain(a, "integer base")
     counts = [[0] * len(integer_bases) for _ in gaussian_bases]
     if gaussian_bases and integer_bases:
-        orders = _mask_orders(integer_bases, query.lo, query.hi)
-        tasks = [
-            (lo, hi, query.residue_filter, orders, gaussian_bases)
-            for lo, hi in _blocks(query.lo, query.hi, block_size)
-        ]
-        for part in _run_blocks(_joint_kernel, tasks, query.workers, progress):
+        specs = tuple(
+            _fermat_spec(a, query.lo, query.hi, partial(_passes_fermat, a)) for a in integer_bases
+        )
+        params = (specs, gaussian_bases)
+        for part in _query_blocks(
+            _joint_kernel, params, query, query.residue_filter, block_size, progress
+        ):
             for row, part_row in zip(counts, part):
                 for j, c in enumerate(part_row):
                     row[j] += c
@@ -824,10 +812,9 @@ def carmichael_intersection_scan(
     """
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
-    spec = _base2_spec(carmichael_and_g_carmichael_3mod4, query.lo, query.hi)
-    return _search_blocks(
-        _sieve_kernel, query, (4, 3), (_N_CLASSES, (spec,)), block_size, progress
-    )
+    kernel, params = _base2_search(carmichael_and_g_carmichael_3mod4, query.lo, query.hi)
+    parts = _query_blocks(kernel, params, query, (4, 3), block_size, progress)
+    return [n for (hits,) in parts for n in hits]
 
 
 # A longer line is read in pieces and counted as malformed, so one huge line

@@ -192,18 +192,17 @@ def _cmd_classify(args) -> int:
 def _cmd_search(args) -> int:
     query = RangeQuery(args.lo, args.hi, args.filter, args.workers)
     progress = _Progress(f"search {args.classifier}", args.quiet)
-    if args.classifier == "gfp":
-        if args.base is None:
-            raise ValueError("search gfp requires --base")
+    gfp = args.classifier == "gfp"
+    if gfp != (args.base is not None):
+        raise ValueError("search gfp requires --base" if gfp else "only search gfp takes --base")
+    if gfp:
         values = search_gfp(query, args.base, progress=progress)
-        base = args.base
     else:
         values = search_classifier(
             query, args.classifier, giuga_cap=args.giuga_cap, progress=progress
         )
-        base = None
     sys.stdout.write(
-        _render_values(values, f"search_{args.classifier}", query, base, args.format)
+        _render_values(values, f"search_{args.classifier}", query, args.base, args.format)
     )
     return 0
 

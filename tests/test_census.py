@@ -2,6 +2,7 @@ import importlib
 import logging
 import os
 import tracemalloc
+from functools import partial
 from math import gcd, isqrt, prod
 
 import pytest
@@ -42,7 +43,7 @@ from gausspseudo.classify import (
     lambda_power_congruence,
     phi_power_congruence,
 )
-from gausspseudo.arith import factorize, gaussian_lambda, gaussian_phi
+from gausspseudo.arith import factorize, gaussian_lambda, gaussian_phi, is_prime
 from gausspseudo.fermat import (
     BASE_PANEL,
     TestOutcome,
@@ -100,7 +101,7 @@ class TestRangeQuery:
         with pytest.raises(ValueError):
             RangeQuery(10, 10)
         with pytest.raises(ValueError):
-            RangeQuery(2, 1 << 63)
+            RangeQuery(2, (1 << 63) + 1)
         with pytest.raises(ValueError):
             RangeQuery(2, 10, (4, 4))
         with pytest.raises(ValueError):
@@ -244,7 +245,8 @@ class TestOrdersAtHeight:
     @pytest.mark.parametrize("lo", ORDER_HEIGHTS)
     def test_mask_orders(self, lo):
         hi = lo + ORDER_WINDOW
-        for a, qs, ds in census._mask_orders(range(2, 12), lo, hi):
+        for a in range(2, 12):
+            qs, ds = census._mask_orders(a, lo, hi)
             assert_order_table(
                 qs, ds, hi, a, pow, lambda y, q: y == 1,
                 lambda p: 0 if a % p == 0 else p - 1, p_free=True,
@@ -303,7 +305,7 @@ class TestClassSieve:
                     if 1 < d < 1 << 63:  # phi_G(2**62) = 2**63 fits no int64
                         expected.append((q, d))
                     q *= p
-        qs, ds = census._korselt_orders(census._CLASS_SEARCHES[which].group_order, lo, hi)
+        _, (_, ((qs, ds, _, _),)) = census._CLASS_SEARCHES[which].build(lo, hi)
         assert list(zip(qs, ds)) == expected
 
     @pytest.mark.parametrize("which", ["g_carmichael", "g_lehmer"])
@@ -438,6 +440,27 @@ class TestSievesAtHeight:
         assert all((kmax == 1) == (lo > census._SIEVE_CUTOFF) for kmax in kmaxes), kmaxes
 
 
+class TestTopOfDomain:
+    """hi = 2**63 is accepted, so searches reach n = 2**63 - 1; every order
+    table there still fits the int64 arrays."""
+
+    LO, HI = (1 << 63) - 256, 1 << 63
+
+    @pytest.mark.parametrize("which", ["g_cyclic", "congruence_exception", "carmichael"])
+    def test_last_window_against_naive(self, which):
+        got = search_classifier(RangeQuery(self.LO, self.HI), which)
+        assert got == naive_classifier_scan(self.LO, self.HI, which)
+
+    def test_gfp_last_window_against_naive(self):
+        expected = [n for n in range(self.LO, self.HI) if not is_prime(n) and is_gfp(n, Z12)]
+        assert search_gfp(RangeQuery(self.LO, self.HI), Z12) == expected
+
+    def test_reaches_2_63_minus_1(self):
+        # every odd composite passes 1+1i; 2**63 - 1 = 7**2 * 73 * ... is one
+        got = search_gfp(RangeQuery(self.HI - 4, self.HI), GaussianBase(1, 1))
+        assert got == [self.HI - 3, self.HI - 1]
+
+
 class TestSearchClassifier:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -477,6 +500,33 @@ class TestSearchClassifier:
         ]
         assert expected == [n]
         assert search_classifier(RangeQuery(lo, hi), "twin_pair_product") == expected
+
+    def test_twin_pair_wide_range_is_one_task(self, monkeypatch):
+        # one walk over the p up to sqrt(hi) covers the query: blocks of 2**20
+        # would make about 10**6 tasks here, and 10**8 at hi = 10**14
+        sizes = []
+        real = census._run_blocks
+
+        def counted(kernel, tasks, workers, progress=None):
+            sizes.append(len(tasks))
+            return real(kernel, tasks, workers, progress)
+
+        monkeypatch.setattr(census, "_run_blocks", counted)
+        lo, hi = 2, 10**12
+        got = search_classifier(RangeQuery(lo, hi, None, 2), "twin_pair_product")
+        assert sizes == [1]
+        assert got == sorted(got) and len(got) == len(set(got))
+        assert got[:4] == [15, 143, 3599, 5183]
+        top = hi - 10**9
+        expected = [
+            p * (p + 2)
+            for p in range(isqrt(top) - 2, isqrt(hi) + 1)
+            if p % 4 == 3
+            and top <= p * (p + 2) < hi
+            and trial_division_is_prime(p)
+            and trial_division_is_prime(p + 2)
+        ]
+        assert expected and [v for v in got if v >= top] == expected
 
     def test_congruence_exception_includes_399(self):
         got = search_classifier(RangeQuery(2, 400), "congruence_exception")
@@ -531,12 +581,17 @@ class TestDeterminism:
         )
         assert base == multi
 
-    @pytest.mark.parametrize("which", ["g_cyclic", "congruence_exception", "carmichael", "giuga"])
+    @pytest.mark.parametrize("which", CLASSIFIER_NAMES + ("carmichael_intersection_scan",))
     def test_batch_and_mask_kernels_in_a_pool(self, which):
-        # their kernels and confirms are partials, sent to the workers by pickle
-        one = search_classifier(RangeQuery(2, 20_000), which, block_size=4096)
-        two = search_classifier(RangeQuery(2, 20_000, None, 2), which, block_size=4096)
-        assert one == two
+        # each builder's kernel and parameters, partials among them, go to the
+        # workers by pickle
+        def run(query):
+            if which == "carmichael_intersection_scan":
+                return carmichael_intersection_scan(query, block_size=4096)
+            return search_classifier(query, which, block_size=4096)
+
+        hi = 200_000 if which == "carmichael_intersection_scan" else 20_000
+        assert run(RangeQuery(2, hi)) == run(RangeQuery(2, hi, None, 2))
 
     def test_gfp_worker_independence(self):
         one = search_gfp(RangeQuery(2, 4_000), Z12, block_size=256)
@@ -600,17 +655,20 @@ class TestPspMaskKernel:
 
     @staticmethod
     def run_kernel(lo, hi, residue_filter, bases, block_size):
-        orders = census._mask_orders(bases, lo, hi)
+        specs = [census._fermat_spec(a, lo, hi, partial(census._passes_fermat, a)) for a in bases]
         return [
             pair
-            for blo, bhi in census._blocks(lo, hi, block_size)
-            for pair in census._psp_mask_kernel((blo, bhi, residue_filter, orders))
+            for blo in range(lo, hi, block_size)
+            for pair in census._psp_mask_kernel(
+                (blo, min(blo + block_size, hi), residue_filter, specs)
+            )
         ]
 
     def test_orders_against_brute(self):
         hi = 2_000
         primes = [p for p in range(2, isqrt(hi - 1) + 2) if trial_division_is_prime(p)]
-        for a, qs, ds in census._mask_orders((2, 3, 10, 12), 2, hi):
+        for a in (2, 3, 10, 12):
+            qs, ds = census._mask_orders(a, 2, hi)
             expected = []
             for p in primes:
                 if a % p == 0:

@@ -312,11 +312,13 @@ class TestPredicateTable:
             assert lam == classical_lambda_brute(n), n
 
     def test_every_entry_against_oracle_to_2000(self):
-        rules = {**PREDICATES, "g_lehmer_multi": _CLASS_SEARCHES["g_lehmer"].predicate}
-        # the census decides these from (phi_G, lambda_G): feed the oracle's
+        # the census searches' own rules: g_lehmer confirms a survivor n by
+        # factoring it, the other two decide from (phi_G, lambda_G): feed the oracle's
+        _, (_, ((*_, lehmer_confirm),)) = _CLASS_SEARCHES["g_lehmer"].build(2, 2000)
+        rules = {**PREDICATES, "g_lehmer_multi": lambda n, factors: lehmer_confirm(n)}
         order_rules = {
-            "g_cyclic": _CLASS_SEARCHES["g_cyclic"].predicate,
-            "congruence_exception": _CLASS_SEARCHES["congruence_exception"].predicate,
+            name: _CLASS_SEARCHES[name].build(2, 2000)[1][1]  # (kernel, (batch, rule))
+            for name in ("g_cyclic", "congruence_exception")
         }
         for n in range(2, 2000):
             want = _oracle_flags(n)

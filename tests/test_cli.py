@@ -81,6 +81,22 @@ class TestSearchCommand:
         assert "Traceback" not in err
         assert err.splitlines()[-1].endswith("cannot parse Gaussian base '-2*5i'; expected 'a+bi'")
 
+    @pytest.mark.parametrize("which", ["g_carmichael", "twin_pair_product"])
+    def test_base_only_with_gfp(self, capsys, which):
+        code, out, err = run_cli(capsys, "search", which, "--hi", "3000", "--base", "1+2i")
+        assert (code, out) == (2, "")
+        assert err == "error: only search gfp takes --base\n"
+
+    @pytest.mark.parametrize("hi, code", [(2**63, 0), (2**63 + 1, 2)])
+    def test_hi_up_to_2_63(self, capsys, hi, code):
+        argv = ["search", "g_cyclic", "--lo", str(2**63 - 8), "--hi", str(hi), "--quiet"]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert "Traceback" not in err
+        if code == 2:
+            message = f"error: need 2 <= lo < hi <= 2**63, got [{2**63 - 8}, {hi})\n"
+            assert (out, err) == ("", message)
+
     def test_gfp_requires_base(self, capsys):
         code, _, err = run_cli(capsys, "search", "gfp", "--hi", "100", "--quiet")
         assert code == 2
@@ -271,7 +287,7 @@ _COMMANDS = {
     ),
     "search": (
         st.builds(
-            lambda which, hi, base: [which, "--hi", str(hi), "--base", base],
+            lambda which, hi, base: [which, "--hi", str(hi)] + ["--base", base] * (which == "gfp"),
             st.sampled_from(CLASSIFIER_NAMES + ("gfp",)), st.integers(3, 10**4), _VALID_BASES,
         ),
         {**_COMMON, "--lo": _with_value(_BOUNDS), "--hi": _with_value(_BOUNDS),

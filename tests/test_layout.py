@@ -55,3 +55,25 @@ def test_domain_rule_has_one_home():
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
                 found.append((path.name, node.lineno, node.name))
     assert not found, found
+
+
+ORDER_BUILDERS = {"_unit_orders", "_mask_orders", "_gfp_orders", "_korselt_orders"}
+BOUND_RULES = {"_fermat_large_prime_bounds", "_gfp_large_prime_bounds", "_korselt_bounds"}
+
+
+def test_kernels_build_no_tables():
+    """Order tables and large-prime bounds are built once per query, in the
+    parent: no block kernel of census.py names an order builder or a bound rule."""
+    source = next(path for path in SOURCES if path.name == "census.py")
+    kernels = [
+        node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_kernel")
+    ]
+    assert kernels
+    found = [
+        (kernel.name, node.lineno, node.id)
+        for kernel in kernels
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.Name) and node.id in ORDER_BUILDERS | BOUND_RULES
+    ]
+    assert not found, found
