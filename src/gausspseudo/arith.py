@@ -1,31 +1,56 @@
 """Integer plumbing and the arithmetic functions of the norm-one group.
 
-Provides deterministic 64-bit primality testing, reproducible
-factorization (a short wheel of trial division below 2**10, then Brent's
-cycle variant of Pollard rho with a fixed parameter sequence on every
-cofactor), the group-size function gaussian_phi,
-the group-exponent function gaussian_lambda, their classical
-counterparts, and the cyclic decomposition of the group at prime powers.
+Provides the one table of the primes below 2**16 that every sieve reads,
+deterministic 64-bit primality testing, reproducible factorization (trial
+division by the primes below 2**10, then Brent's cycle variant of Pollard
+rho with a fixed parameter sequence on every cofactor), the group-size
+function gaussian_phi, the group-exponent function gaussian_lambda, their
+classical counterparts, and the cyclic decomposition of the group at prime
+powers.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce as _reduce
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
 MAX_ARG = 1 << 63
+
+
+def _prime_table(limit: int) -> array:
+    sieve = bytearray(b"\x00\x00" + b"\x01" * (limit - 2))
+    for i in range(2, isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return array("H", compress(range(limit), sieve))
+
+
+# The 6,542 primes below 2**16, built once; two bytes each.
+_PRIMES = _prime_table(1 << 16)
+
+
+def primes_up_to(limit: int) -> array:
+    """The primes p <= limit, ascending, for limit <= 2**16."""
+    if limit > 1 << 16:
+        raise ValueError(f"the prime table ends at 2**16, got {limit}")
+    return _PRIMES[: bisect_right(_PRIMES, limit)]
+
 
 # Strong-pseudoprime witnesses covering every n < 3.3 * 10**24 (Sinclair's
 # seven-base set), hence deterministic over the whole 64-bit domain.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The hot loops below walk tuples: iterating an array makes an int per item.
+_SMALL_PRIMES = tuple(primes_up_to(37))
 
-# Trial division only strips the small primes: a cofactor with no prime
-# factor below the bound goes to rho, which splits it in about sqrt(p)
-# steps, where a longer wheel would cost about p/4 loop iterations.
-_TRIAL_DIVISION_BOUND = 1 << 10
+# Trial division only strips the primes below 2**10: a cofactor with no
+# prime factor below that goes to rho, which splits it in about sqrt(p)
+# steps, where longer trial division would cost about p/ln(p) divisions.
+_TRIAL_PRIMES = tuple(primes_up_to(1 << 10))
 
 
 def check_domain(n: int, what: str = "argument") -> None:
@@ -130,37 +155,28 @@ def _rho_factor(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Factor 2 <= n < 2**63 into prime powers.
 
-    A wheel over the numbers coprime to 30 strips the primes below 2**10;
-    each remaining cofactor is a prime (Miller-Rabin), a perfect square,
-    or is split by Brent rho with the fixed c = 1, 2, ... sequence.  The
-    primes come out sorted, so the result does not depend on the order
-    in which the cofactors were split.
+    Trial division by the primes below 2**10 stops once Miller-Rabin finds
+    n, or the cofactor left by a prime divided out, to be prime; each other
+    cofactor is a prime, a perfect square, or is split by Brent rho with the
+    fixed c = 1, 2, ... sequence.  The primes come out sorted, so the result
+    does not depend on the order in which the cofactors were split.
     """
     check_domain(n)
     original = n
     counts: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    if n > 1 and is_prime(n):
-        counts[n] = counts.get(n, 0) + 1
+    if is_prime(n):
+        counts[n] = 1
         n = 1
-    # wheel over numbers coprime to 30
-    d = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d < _TRIAL_DIVISION_BOUND:
-        if n % d == 0:
-            while n % d == 0:
-                counts[d] = counts.get(d, 0) + 1
-                n //= d
-            if n > 1 and is_prime(n):
-                counts[n] = counts.get(n, 0) + 1
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            while n % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                n //= p
+            if is_prime(n):
+                counts[n] = 1
                 n = 1
-                break
-        d += increments[i]
-        i = (i + 1) & 7
     if n > 1:
         stack = [n]
         while stack:

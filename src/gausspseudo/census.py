@@ -34,7 +34,7 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
@@ -46,6 +46,7 @@ from .arith import (
     gaussian_lambda_from_factors,
     gaussian_phi_from_factors,
     is_prime,
+    primes_up_to,
     script_F,
 )
 from .classify import (
@@ -128,16 +129,6 @@ class VerificationReport:
 # Primality within blocks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _base_primes(limit: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(range(i * i, limit + 1, i))
-    return tuple(i for i in range(limit + 1) if sieve[i])
-
-
 def _sieve_bound(hi: int) -> int:
     """Sieves of n < hi strike with the primes up to this: sqrt(hi), at most 2**16."""
     return min(isqrt(hi - 1) + 1, 1 << 16)
@@ -154,7 +145,7 @@ def _composite_flags(lo: int, hi: int) -> bytearray:
     exist only above 2**32."""
     bound = _sieve_bound(hi)
     flags = bytearray(hi - lo)
-    for p in _base_primes(bound):
+    for p in primes_up_to(bound):
         start = max(p * p, (lo + p - 1) // p * p)
         if start < hi:
             flags[start - lo :: p] = b"\x01" * len(range(start, hi, p))
@@ -177,29 +168,23 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(kernel, tasks, workers: int, progress=None):
-    """Run kernel over tasks, merging results in task order.
+def _run_blocks(kernel, params, query: RangeQuery, residue_filter, block_size, progress=None):
+    """The results of kernel over the blocks of query, in block order.
 
-    The pool never exceeds the available CPUs or the task count.
+    Each block's task, (lo, hi, residue_filter, *params), is built only when
+    map asks for it.  The pool never exceeds the available CPUs or the block
+    count.
     """
+    blocks = range(query.lo, query.hi, block_size)
+    tasks = ((lo, min(lo + block_size, query.hi), residue_filter, *params) for lo in blocks)
+    workers = min(query.workers, len(blocks), available_cpus())
     results = []
-    workers = min(workers, len(tasks), available_cpus())
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for i, res in enumerate((pool.map if pool else map)(kernel, tasks)):
+        for i, res in enumerate((pool.map if pool else map)(kernel, tasks), 1):
             results.append(res)
             if progress:
-                progress(i + 1, len(tasks))
+                progress(i, len(blocks))
     return results
-
-
-def _query_blocks(kernel, params, query: RangeQuery, residue_filter, block_size, progress):
-    """The results of kernel over the blocks of query, in block order; each
-    block's task is (lo, hi, residue_filter, *params)."""
-    tasks = [
-        (lo, min(lo + block_size, query.hi), residue_filter, *params)
-        for lo in range(query.lo, query.hi, block_size)
-    ]
-    return _run_blocks(kernel, tasks, query.workers, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +203,7 @@ def _factor_batch(start: int, hi: int, m: int):
     rem = list(range(start, hi, m))
     size = len(rem)
     factors = [[] for _ in range(size)]
-    for p in _base_primes(bound):
+    for p in primes_up_to(bound):
         found = _class_in_progression(start, m, 0, p)
         if found is None:
             continue
@@ -252,7 +237,7 @@ def _totient_batch(start: int, hi: int, m: int):
     bound = _sieve_bound(hi)
     rem = list(range(start, hi, m))
     phi, lam = [1] * len(rem), [1] * len(rem)
-    for p in _base_primes(bound)[1:]:
+    for p in primes_up_to(bound)[1:]:
         q = p
         f = t = script_F(p)  # phi_G(q) / phi_G(q / p) and lambda_G(q), q = p**j
         while q < hi and (found := _class_in_progression(start, m, 0, q)):
@@ -310,12 +295,12 @@ def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearra
     return codes
 
 
-def _sieve_primes(lo: int, hi: int) -> tuple[int, ...]:
+def _sieve_primes(lo: int, hi: int) -> array:
     """The primes whose powers sieve [lo, hi): those up to _sieve_bound(hi)
     and up to hi - lo.  A larger prime has at most one multiple in the
     range and would cost more to prepare than the test it saves; fewer
     primes are sound at any height, the sieve merely rules out less."""
-    return _base_primes(min(_sieve_bound(hi), hi - lo))
+    return primes_up_to(min(_sieve_bound(hi), hi - lo))
 
 
 def _sieve_progression(flags: bytearray, start: int, m: int, bounds, qs, ds, c: int) -> None:
@@ -650,6 +635,8 @@ class _ClassEntry(NamedTuple):
 # congruence_exception are rules on (n, phi_G(n), lambda_G(n)); their members
 # have gcd(phi_G(n), n) = 1 with phi_G(n) even.  Carmichael and 1-Williams
 # numbers are odd base-2 pseudoprimes: p - 1 | n - 1 for all p | n, one p odd.
+# No even n > 2 is G-Lehmer: v2(phi_G(n)) > v2(n) = v2(F(n)), as phi_G(2) = 2,
+# phi_G(2**k) = 2**(k+1) for k >= 2, and 4 | F(p) for every odd prime p.
 _CLASS_SEARCHES = {
     "g_carmichael": _ClassEntry(
         partial(_korselt_search, gaussian_lambda_from_factors, 128, PREDICATES["g_carmichael"])
@@ -659,7 +646,7 @@ _CLASS_SEARCHES = {
         _unsieved(_batch_kernel, _totient_batch, g_cyclic_from_orders), odd_only=True
     ),
     "g_lehmer": _ClassEntry(
-        partial(_korselt_search, gaussian_phi_from_factors, 24, _g_lehmer_multi)
+        partial(_korselt_search, gaussian_phi_from_factors, 24, _g_lehmer_multi), odd_only=True
     ),
     "congruence_exception": _ClassEntry(
         _unsieved(_batch_kernel, _totient_batch, _congruence_exception), odd_only=True
@@ -705,7 +692,7 @@ def search_gfp(
     """
     bounds = _gfp_large_prime_bounds(z, query.hi)
     spec = (*_gfp_orders(z, query.lo, query.hi), bounds, partial(_passes_gfp, z))
-    parts = _query_blocks(
+    parts = _run_blocks(
         _sieve_kernel, (_F_CLASSES, (spec,)), query, query.residue_filter, block_size, progress
     )
     return [n for (hits,) in parts for n in hits]
@@ -735,7 +722,8 @@ def search_classifier(
     and factor and decide the base-2 Fermat pseudoprimes that remain.
     'g_cyclic' and 'congruence_exception' are decided from phi_G(n) and
     lambda_G(n), which a multiplicative sieve gives; only 'giuga' factors
-    each n of the searched progression.  The four search the odd n only.
+    each n of the searched progression.  'g_lehmer', 'carmichael',
+    'williams_1', 'g_cyclic' and 'congruence_exception' search the odd n only.
     Membership is decided by classify's PREDICATES, g_cyclic_from_orders
     and giuga_from_factors.
     """
@@ -751,7 +739,7 @@ def search_classifier(
             return []
     kernel, params = entry.build(query.lo, query.hi)
     size = block_size if entry.blocked else query.hi - query.lo
-    parts = _query_blocks(kernel, params, query, residue_filter, size, progress)
+    parts = _run_blocks(kernel, params, query, residue_filter, size, progress)
     return [n for (hits,) in parts for n in hits]
 
 
@@ -783,7 +771,7 @@ def joint_census(
             _fermat_spec(a, query.lo, query.hi, partial(_passes_fermat, a)) for a in integer_bases
         )
         params = (specs, gaussian_bases)
-        for part in _query_blocks(
+        for part in _run_blocks(
             _joint_kernel, params, query, query.residue_filter, block_size, progress
         ):
             for row, part_row in zip(counts, part):
@@ -813,7 +801,7 @@ def carmichael_intersection_scan(
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
     kernel, params = _base2_search(carmichael_and_g_carmichael_3mod4, query.lo, query.hi)
-    parts = _query_blocks(kernel, params, query, (4, 3), block_size, progress)
+    parts = _run_blocks(kernel, params, query, (4, 3), block_size, progress)
     return [n for (hits,) in parts for n in hits]
 
 

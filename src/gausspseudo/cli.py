@@ -153,20 +153,11 @@ def _render_table(table: CensusTable, query, fmt: str) -> str:
         return table_to_records(table, query)
     if fmt == "csv":
         return table_to_csv(table)
-    widths = [
-        max([len(str(z)) for z in table.gaussian_bases] + [len("base")]),
-    ] + [
-        max(len(str(a)), *(len(str(row[j])) for row in table.counts))
-        if table.counts
-        else len(str(a))
-        for j, a in enumerate(table.integer_bases)
+    rows = [["base"] + [str(a) for a in table.integer_bases]] + [
+        [str(z)] + [str(c) for c in row] for z, row in zip(table.gaussian_bases, table.counts)
     ]
-    header = ["base"] + [str(a) for a in table.integer_bases]
-    out = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for z, row in zip(table.gaussian_bases, table.counts):
-        cells = [str(z)] + [str(c) for c in row]
-        out.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
-    return "".join(line + "\n" for line in out)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in rows)
 
 
 def _render_verification(report: VerificationReport, fmt: str) -> str:

@@ -11,8 +11,10 @@ iff V_e = 2 and V_(e+1) = P.  That is exact in any commutative ring: for
 x = w^e, V_e = 2 gives (x-1)^2 = 0, V_(e+1) = P then gives
 (x-1)(w - 1/w) = 0, and w - 1/w = 4abi/(a^2+b^2) is a unit, so x = 1.
 Other n, with gcd(n, ab) > 1 (every even n, and ab = 0), take a raw
-ladder.  gaussian_fermat_test asks it for e = F(n), and the census order
-tables for the orders of w modulo prime powers.
+ladder.  gaussian_fermat_test asks it for e = F(n) modulo the odd part m
+of n only: with 2^k || n, w lies in the norm-one group mod 2^k, whose
+exponent 2, 4 or 2^(k-2) divides n = F(n), so w ** F(n) = 1 mod 2^k.  The
+census order tables ask it for the orders of w modulo prime powers.
 Cross-checks: the ratio form on GaussianResidue objects (same ladder) and
 Im(z ** F(n)) = 0 mod n, the imaginary form, on a ladder of its own.
 """
@@ -80,13 +82,15 @@ def ratio_power_is_one(z: GaussianBase, e: int, n: int) -> bool:
 
 
 def gaussian_fermat_test(n: int, z: GaussianBase) -> TestOutcome:
-    """Pass iff (z/conj(z)) ** F(n) = 1 mod n, by ratio_power_is_one."""
+    """Pass iff (z/conj(z)) ** F(n) = 1 mod n, by ratio_power_is_one on the
+    odd part m of n, as the power is 1 mod the 2-part of n."""
     check_domain(n, "candidate")
     if gcd(n, z.norm()) != 1:
         return TestOutcome.INVALID_BASE
-    if z.re * z.im == 0:  # w = 1 or -1, and F(n) is even
+    m = n >> ((n & -n).bit_length() - 1)
+    if z.re * z.im == 0 or m == 1:  # w = 1 or -1, and F(n) is even; or n = 2^k
         return TestOutcome.PASS
-    return TestOutcome.PASS if ratio_power_is_one(z, script_F(n), n) else TestOutcome.FAIL
+    return TestOutcome.PASS if ratio_power_is_one(z, script_F(n), m) else TestOutcome.FAIL
 
 
 def gaussian_fermat_ratio_test(n: int, z: GaussianBase) -> TestOutcome:

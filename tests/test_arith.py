@@ -31,6 +31,7 @@ from gausspseudo.arith import (
     gaussian_phi,
     group_structure,
     is_prime,
+    primes_up_to,
     script_F,
 )
 from gausspseudo.classify import classify, is_g_lehmer
@@ -337,6 +338,17 @@ class TestGroupStructure:
                 continue
             g = brute_group(p)
             assert any(element_order(a, b, p, p + 1) == p + 1 for a, b in g)
+
+
+class TestPrimeTable:
+    def test_against_trial_division(self):
+        assert list(primes_up_to(1 << 16)) == primes_below((1 << 16) + 1)
+        for limit in (0, 1, 2, 3, 36, 37, 38, 1023, 1024, 65520, 65521):
+            assert list(primes_up_to(limit)) == primes_below(limit + 1), limit
+
+    def test_ends_at_2_16(self):
+        with pytest.raises(ValueError):
+            primes_up_to((1 << 16) + 1)
 
 
 class TestSpfSieve:

@@ -4,6 +4,7 @@ import os
 import tracemalloc
 from functools import partial
 from math import gcd, isqrt, prod
+from operator import itemgetter
 
 import pytest
 from oracle_utils import (
@@ -507,9 +508,9 @@ class TestSearchClassifier:
         sizes = []
         real = census._run_blocks
 
-        def counted(kernel, tasks, workers, progress=None):
-            sizes.append(len(tasks))
-            return real(kernel, tasks, workers, progress)
+        def counted(kernel, params, query, residue_filter, block_size, progress=None):
+            sizes.append(len(range(query.lo, query.hi, block_size)))
+            return real(kernel, params, query, residue_filter, block_size, progress)
 
         monkeypatch.setattr(census, "_run_blocks", counted)
         lo, hi = 2, 10**12
@@ -527,6 +528,15 @@ class TestSearchClassifier:
             and trial_division_is_prime(p + 2)
         ]
         assert expected and [v for v in got if v >= top] == expected
+
+    @pytest.mark.parametrize(
+        "which", [name for name, entry in census._CLASS_SEARCHES.items() if entry.blocked]
+    )
+    def test_odd_only_exactly_without_even_members(self, which):
+        # a class may skip the even n only if none is a member; one with even
+        # members below 2*10**4 must search them
+        evens = [n for n in naive_classifier_scan(2, 20_000, which) if n % 2 == 0]
+        assert census._CLASS_SEARCHES[which].odd_only == (not evens), evens[:5]
 
     def test_congruence_exception_includes_399(self):
         got = search_classifier(RangeQuery(2, 400), "congruence_exception")
@@ -561,13 +571,13 @@ class TestSearchClassifier:
     def test_high_windows_factor_per_n(self, monkeypatch, which, lo, hi):
         # at any height the sieves strike with the primes up to 2^16 at most;
         # Miller-Rabin and _factorize settle the n they leave open
-        real = census._base_primes
+        real = census.primes_up_to
 
         def bounded(limit):
             assert limit <= isqrt(census._SIEVE_CUTOFF) + 1, limit
             return real(limit)
 
-        monkeypatch.setattr(census, "_base_primes", bounded)
+        monkeypatch.setattr(census, "primes_up_to", bounded)
         got = search_classifier(RangeQuery(lo, hi), which, block_size=200)
         assert got == naive_classifier_scan(lo, hi, which)
 
@@ -727,16 +737,40 @@ class TestRunBlocks:
         self.StubPool.sizes = []
         monkeypatch.setattr(census, "ProcessPoolExecutor", self.StubPool)
         monkeypatch.setattr(census, "available_cpus", lambda: 3)
-        out = census._run_blocks(abs, list(range(-tasks, 0)), 10**5)
-        assert out == list(range(tasks, 0, -1))
+        query = RangeQuery(2, 2 + tasks, None, 10**5)
+        out = census._run_blocks(itemgetter(0), (), query, None, 1)
+        assert out == list(range(2, 2 + tasks))
         assert self.StubPool.sizes == [expected]
 
     def test_single_cpu_runs_serially(self, monkeypatch):
         self.StubPool.sizes = []
         monkeypatch.setattr(census, "ProcessPoolExecutor", self.StubPool)
         monkeypatch.setattr(census, "available_cpus", lambda: 1)
-        assert census._run_blocks(abs, [-1, -2], 10**5) == [1, 2]
+        query = RangeQuery(2, 4, None, 10**5)
+        assert census._run_blocks(itemgetter(0), (), query, None, 1) == [2, 3]
         assert self.StubPool.sizes == []
+
+    def test_cancelled_search_stays_small(self):
+        # [2, 2**32) in blocks of 2**14 is 2**18 blocks: a task list built
+        # before the first block runs would take tens of MB, and at 2**62 it
+        # would not fit in memory
+        class Cancel(Exception):
+            pass
+
+        def progress(done, total):
+            assert total == 1 << 18
+            if done == 3:
+                raise Cancel
+
+        query = RangeQuery(2, 1 << 32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Cancel):
+                search_classifier(query, "g_cyclic", block_size=1 << 14, progress=progress)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22  # a block of 2**14 takes about 1.5 MB
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
     def test_available_cpus_follows_affinity(self):

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle_utils import composite_sieve, gpow, primes_below
 
+from gausspseudo import fermat
 from gausspseudo.fermat import (
     BASE_PANEL,
     EQUIVALENCE_PANEL,
@@ -214,6 +215,23 @@ class TestMainPathAgreement:
         for z in bases:
             for n in range(2, 20_000):
                 assert gaussian_fermat_test(n, z) is gaussian_fermat_im_test(n, z), (n, str(z))
+
+
+class TestEvenN:
+    """An even n is decided on its odd part m: with 2^k || n, z/conj(z)
+    lies in the norm-one group mod 2^k, whose exponent divides n = F(n).
+    TestMainPathAgreement::test_exhaustive_small_n checks every n below
+    2*10**4, even n included, against the imaginary form."""
+
+    def test_base_1_plus_2i_needs_no_raw_ladder(self, monkeypatch):
+        # ab = 2 is prime to every odd part, so the V-chain decides them all
+        expected = {n: gaussian_fermat_im_test(n, Z12) for n in range(2, 20_000, 2)}
+
+        def raw_ladder(*args):
+            raise AssertionError(f"raw ladder called with {args}")
+
+        monkeypatch.setattr(fermat, "_pow_components", raw_ladder)
+        assert {n: gaussian_fermat_test(n, Z12) for n in expected} == expected
 
 
 EXPONENTS = st.integers(1, (1 << 64) - 1)

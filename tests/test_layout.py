@@ -77,3 +77,25 @@ def test_kernels_build_no_tables():
         if isinstance(node, ast.Name) and node.id in ORDER_BUILDERS | BOUND_RULES
     ]
     assert not found, found
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _decorator_name(node):
+    """lru_cache for @lru_cache, @lru_cache(...) and @functools.lru_cache(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_one_cache():
+    """Caches are out of scope: factorize's is the only one in the package."""
+    found = [
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_decorator_name(d) in CACHE_DECORATORS for d in node.decorator_list)
+    ]
+    assert set(found) <= {("arith.py", "factorize")}, found
