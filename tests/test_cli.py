@@ -361,9 +361,13 @@ _GOLDEN_WINDOWS = {
     "2^32": ((1 << 32) - (1 << 11), (1 << 32) + (1 << 11)),
     "2^62": ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11)),
 }
-_RHO_BOUND_AT_2_62 = ("g_carmichael", "g_cyclic", "g_lehmer", "congruence_exception")
+_RHO_BOUND_AT_2_62 = (
+    "g_carmichael", "g_cyclic", "g_lehmer", "congruence_exception", "giuga uncapped"
+)
 _GOLDEN_SEARCHES = {
     **{which: [which] for which in CLASSIFIER_NAMES},
+    # the default cap stops every giuga run above with exit 2 and no output
+    "giuga uncapped": ["giuga", "--giuga-cap", str((1 << 63) - 1)],
     **{f"gfp {base}": ["gfp", f"--base={base}"] for base in ("1+2i", "3+0i", "-2+5i")},
 }
 
@@ -402,7 +406,8 @@ _GOLDEN_KEYS = [
 
 # Recorded at commit 69bddf9, before the Gaussian totient sieve and the
 # base-2 mask sieve took over g_cyclic, congruence_exception, carmichael
-# and williams_1.
+# and williams_1; the "giuga uncapped" runs at commit 30fcadc, while giuga
+# still factored every n.
 _GOLDEN = {
     ('g_carmichael', '1e7', None, 1): 'f16926a36093ed55',
     ('g_carmichael', '1e7', None, 2): 'f16926a36093ed55',
@@ -514,6 +519,16 @@ _GOLDEN = {
     ('gfp 3+0i', '2^62', '4,3', 1): '915b480b15c83af5',
     ('gfp -2+5i', '2^62', None, 1): '24d31997061cf439',
     ('gfp -2+5i', '2^62', '4,3', 1): '5feceb66ffc86f38',
+    ('giuga uncapped', '1e7', None, 1): '5f669c4fce3ee91c',
+    ('giuga uncapped', '1e7', None, 2): '5f669c4fce3ee91c',
+    ('giuga uncapped', '1e7', '4,3', 1): '9b31e89111538b96',
+    ('giuga uncapped', '1e7', '4,3', 2): '9b31e89111538b96',
+    ('giuga uncapped', '2^32', None, 1): 'b618fa093f8ca18f',
+    ('giuga uncapped', '2^32', None, 2): 'b618fa093f8ca18f',
+    ('giuga uncapped', '2^32', '4,3', 1): '205d63a937626d71',
+    ('giuga uncapped', '2^32', '4,3', 2): '205d63a937626d71',
+    ('giuga uncapped', '2^62', None, 1): '4016b5c1886a1a62',
+    ('giuga uncapped', '2^62', '4,3', 1): 'a91b4d42d2b30761',
     ('table', 300000, None, 1): '2d1bab472405157c',
     ('table', 300000, None, 2): '2d1bab472405157c',
 }
