@@ -20,9 +20,9 @@ must have for every prime power q | n: the order of a or of z/conj(z) mod q
 group exponent or order of q.  It also rules out n = kP with a large prime
 P, so the exact test, or the factorization and the class predicate, runs on
 a few percent of the composites only.  g_cyclic and congruence_exception are
-rules on (n, phi_G(n), lambda_G(n)), which a multiplicative sieve gives; only
-giuga factors every n of its progression.  All kernels are pure; a cancelled
-run simply never returns a partial result.
+rules on (n, phi_G(n), lambda_G(n)), and giuga one on (n, phi_G(n), D(n)),
+which multiplicative sieves give without factoring n.  All kernels are pure;
+a cancelled run simply never returns a partial result.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .classify import (
     PREDICATES,
     carmichael_and_g_carmichael_3mod4,
     g_cyclic_from_orders,
-    giuga_from_factors,
+    giuga_from_totient,
     power_congruence,
 )
 from .fermat import TestOutcome, gaussian_fermat_test, ratio_power_is_one
@@ -64,7 +64,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 _SIEVE_CUTOFF = 1 << 32
-_FACTOR_BATCH = 1 << 16
+_BATCH_SPAN = 1 << 16
 
 # Searches factor with the uncached function: the process that runs one
 # search may serve many more, and a cache filled by them would only grow.
@@ -188,41 +188,8 @@ def _run_blocks(kernel, params, query: RangeQuery, residue_filter, block_size, p
 
 
 # ---------------------------------------------------------------------------
-# Factor and totient sieves for scans that decide every n
+# Totient sieves for scans that decide every n
 # ---------------------------------------------------------------------------
-
-def _factor_batch(start: int, hi: int, m: int):
-    """One column: the factorizations of n = start, start + m, ... below hi.
-
-    A batched division sieve over the primes up to _sieve_bound(hi) does
-    the work, visiting only the terms each prime divides.  What is left of
-    n is 1, a prime, or, at or above the square of that bound (only above
-    2**32), a cofactor that _factorize splits.
-    """
-    bound = _sieve_bound(hi)
-    rem = list(range(start, hi, m))
-    size = len(rem)
-    factors = [[] for _ in range(size)]
-    for p in primes_up_to(bound):
-        found = _class_in_progression(start, m, 0, p)
-        if found is None:
-            continue
-        i, step = found
-        for idx in range(i, size, step):
-            k = 0
-            v = rem[idx]
-            while v % p == 0:
-                v //= p
-                k += 1
-            rem[idx] = v
-            factors[idx].append((p, k))
-    for idx, v in enumerate(rem):
-        if v >= bound * bound:
-            factors[idx] += _factorize(v).factors
-        elif v > 1:
-            factors[idx].append((v, 1))
-    return (factors,)
-
 
 def _totient_batch(start: int, hi: int, m: int):
     """Columns phi_G(n), lambda_G(n) for the odd n = start, start + m, ... < hi.
@@ -254,6 +221,46 @@ def _totient_batch(start: int, hi: int, m: int):
                 phi[idx], lam[idx], rem[idx] = phi[idx] * prod(ts), lcm(lam[idx], *ts), 1
     last = [r + 1 if r % 4 == 3 else max(r - 1, 1) for r in rem]  # F(r), or 1 for r = 1
     return [x * y for x, y in zip(phi, last)], map(lcm, lam, last)
+
+
+def _giuga_batch(start: int, hi: int, m: int):
+    """Columns phi_G(n), D(n) for n = start, start + m, ... < hi, where D(n)
+    is the product of the p**k || n with F(p) | F(n) (giuga_from_totient).
+
+    The 2-part t of n gives phi_G(t), and all of t to D, as F(2) | F(n) = n.
+    The sieve of _totient_batch by the odd p gives the rest of phi.  As
+    4 | F(p) and q = p**j = +-1 (mod F(p)), the multiples of q with
+    F(p) | F(n) are the n = q * (c * q % F(p)) (mod q * F(p)), for the c of
+    _F_CLASSES; there D gains p.  What is left of n is treated as there.
+    """
+    bound = _sieve_bound(hi)
+    ns = range(start, hi, m)
+    d = [n & -n for n in ns]
+    rem = [n // t for n, t in zip(ns, d)]
+    phi = [t if t < 4 else 2 * t for t in d]
+    for p in primes_up_to(bound)[1:]:
+        fp = script_F(p)
+        q, f = p, fp
+        while q < hi and (found := _class_in_progression(start, m, 0, q)):
+            i, step = found
+            rem[i::step] = [v // p for v in rem[i::step]]
+            phi[i::step] = [x * f for x in phi[i::step]]
+            for _, _, c in _F_CLASSES:
+                if found := _class_in_progression(start, m, q * (c * q % fp), q * fp):
+                    i, step = found
+                    d[i::step] = [x * p for x in d[i::step]]
+            q, f = q * p, p
+    square = bound * bound
+    if square < hi:
+        for idx, v in enumerate(rem):
+            if v >= square:  # F(r) | F(n) iff n = 0, 1 or -1 (mod F(r)), as for p
+                factors = _factorize(v).factors
+                phi[idx] *= gaussian_phi_from_factors(factors)
+                d[idx] *= prod(r**k for r, k in factors if (ns[idx] + 1) % script_F(r) < 3)
+                rem[idx] = 1
+    last = [r + 1 if r % 4 == 3 else r - 1 or 1 for r in rem]  # F(r), or 1 for r = 1
+    d = [x * r if (n + 1) % f < 3 else x for x, r, n, f in zip(d, rem, ns, last)]
+    return [x * y for x, y in zip(phi, last)], d
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +370,14 @@ def _congruence_exception(n: int, phi: int, lam: int) -> bool:
 
 def _batch_kernel(task):
     """Exact scan that decides every n of the searched progression: batch
-    gives one column per argument of rule after n (_factor_batch for
-    giuga, _totient_batch for the rules on phi_G and lambda_G).  Returns
-    [hits], as _sieve_kernel does for one spec."""
+    gives one column per argument of rule after n (_totient_batch for the
+    rules on phi_G and lambda_G, _giuga_batch for giuga_from_totient).
+    Returns [hits], as _sieve_kernel does for one spec."""
     lo, hi, residue_filter, batch, rule = task
     m, r = residue_filter or (1, 0)
     hits = []
-    for blo in range(lo, hi, _FACTOR_BATCH):
-        bhi = min(blo + _FACTOR_BATCH, hi)
+    for blo in range(lo, hi, _BATCH_SPAN):
+        bhi = min(blo + _BATCH_SPAN, hi)
         ns = range(blo + (r - blo) % m, bhi, m)
         hits += compress(ns, map(rule, ns, *batch(ns.start, bhi, m)))
     return [hits]
@@ -651,7 +658,7 @@ _CLASS_SEARCHES = {
     "congruence_exception": _ClassEntry(
         _unsieved(_batch_kernel, _totient_batch, _congruence_exception), odd_only=True
     ),
-    "giuga": _ClassEntry(_unsieved(_batch_kernel, _factor_batch, giuga_from_factors), capped=True),
+    "giuga": _ClassEntry(_unsieved(_batch_kernel, _giuga_batch, giuga_from_totient), capped=True),
     "williams_1": _ClassEntry(partial(_base2_search, PREDICATES["williams_1"]), odd_only=True),
     "twin_pair_product": _ClassEntry(_unsieved(_twin_kernel), blocked=False),
 }
@@ -721,11 +728,12 @@ def search_classifier(
     and 'williams_1' are sieved as the joint table's base-2 column is,
     and factor and decide the base-2 Fermat pseudoprimes that remain.
     'g_cyclic' and 'congruence_exception' are decided from phi_G(n) and
-    lambda_G(n), which a multiplicative sieve gives; only 'giuga' factors
-    each n of the searched progression.  'g_lehmer', 'carmichael',
-    'williams_1', 'g_cyclic' and 'congruence_exception' search the odd n only.
+    lambda_G(n), and 'giuga' from phi_G(n) and D(n), the product of the
+    p^k || n with F(p) | F(n); multiplicative sieves give both pairs
+    without factoring n.  'g_lehmer', 'carmichael', 'williams_1',
+    'g_cyclic' and 'congruence_exception' search the odd n only.
     Membership is decided by classify's PREDICATES, g_cyclic_from_orders
-    and giuga_from_factors.
+    and giuga_from_totient.
     """
     entry = _CLASS_SEARCHES.get(which)
     if entry is None:

@@ -8,13 +8,14 @@ numbers, and an aggregate report.
 Each class is defined once, as predicate(n, factors) in PREDICATES, which
 the is_* functions, classify() and the census searches all evaluate; the
 witness routes of g_carmichael and carmichael are cross-checked against it.
-The census applies g_cyclic_from_orders, which the G-cyclic entry calls.
+The census applies g_cyclic_from_orders and giuga_from_totient, which the
+G-cyclic entry and giuga_from_factors call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 from .arith import (
     check_domain,
@@ -53,6 +54,13 @@ def _carmichael(n: int, factors) -> bool:
 def g_cyclic_from_orders(n: int, phi: int, lam: int) -> bool:
     """G-cyclic from n, phi_G(n) and lambda_G(n), which a sieve can give."""
     return gcd(phi, n) == 1
+
+
+def giuga_from_totient(n: int, phi: int, d: int) -> bool:
+    """Giuga membership from n, phi_G(n) and d, the product of the p**k || n
+    with F(p) | F(n): d | phi_G(n) - F(n) and (n/d) | F(n), by the CRT."""
+    F = script_F(n)
+    return (phi - F) % d == 0 and F % (n // d) == 0
 
 
 def _g_cyclic(n: int, factors) -> bool:
@@ -239,8 +247,8 @@ def giuga_from_factors(n: int, factors) -> bool:
     phi_G(n) or 0, with imaginary part 0.
     """
     F = script_F(n)
-    total = gaussian_phi_from_factors(factors)
-    return all(((total if F % script_F(p) == 0 else 0) - F) % p**k == 0 for p, k in factors)
+    d = prod(p**k for p, k in factors if F % script_F(p) == 0)
+    return giuga_from_totient(n, gaussian_phi_from_factors(factors), d)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from gausspseudo.classify import (
     lambda_power_congruence,
     phi_power_congruence,
 )
-from gausspseudo.arith import factorize, gaussian_lambda, gaussian_phi, is_prime
+from gausspseudo.arith import MAX_ARG, factorize, gaussian_lambda, gaussian_phi, is_prime
 from gausspseudo.fermat import (
     BASE_PANEL,
     TestOutcome,
@@ -78,7 +78,7 @@ def naive_classifier_scan(lo, hi, which, residue_filter=None):
                 and not lambda_power_congruence(n)
             )
         elif which == "giuga":
-            ok = giuga_membership(n)
+            ok = giuga_membership(n, cap=n)
         elif which == "williams_1":
             ok = is_r_williams(n, 1)
         else:  # twin_pair_product
@@ -255,9 +255,12 @@ class TestOrdersAtHeight:
 
 
 SIEVED_CLASSES = (
-    "g_carmichael", "g_lehmer", "g_cyclic", "congruence_exception", "carmichael", "williams_1"
+    "g_carmichael", "g_lehmer", "g_cyclic", "congruence_exception", "carmichael", "williams_1",
+    "giuga",
 )
 CLASS_FILTERS = (None, (4, 1), (4, 3), (3, 2), (8, 5), (2, 0), (6, 3))
+# the searches of the class tests, with the giuga cap out of the way
+uncapped_search = partial(search_classifier, giuga_cap=MAX_ARG)
 
 
 @pytest.fixture(scope="module")
@@ -267,8 +270,8 @@ def naive_class_hits():
 
 class TestClassSieve:
     """The Korselt sieve of g_carmichael / g_lehmer, the totient sieve of
-    g_cyclic / congruence_exception and the base-2 mask sieve of carmichael /
-    williams_1 against the predicates."""
+    g_cyclic / congruence_exception, the base-2 mask sieve of carmichael /
+    williams_1 and the Giuga columns against the predicates."""
 
     @pytest.mark.parametrize("which", SIEVED_CLASSES)
     def test_blocks_from_2_against_naive(self, which, naive_class_hits):
@@ -276,7 +279,7 @@ class TestClassSieve:
         for residue_filter in CLASS_FILTERS:
             m, r = residue_filter or (1, 0)
             # blocks of 1000 start at every residue mod 4 and 8
-            got = search_classifier(
+            got = uncapped_search(
                 RangeQuery(2, SIEVE_LIMIT, residue_filter), which, block_size=1000
             )
             assert got == [n for n in expected if n % m == r], residue_filter
@@ -285,7 +288,7 @@ class TestClassSieve:
     def test_window_near_2_23_against_naive(self, which):
         lo = (1 << 23) + 3 * (1 << 19) + 77
         hi = lo + (1 << 12)
-        assert search_classifier(RangeQuery(lo, hi), which) == naive_classifier_scan(
+        assert uncapped_search(RangeQuery(lo, hi), which) == naive_classifier_scan(
             lo, hi, which
         )
 
@@ -393,11 +396,25 @@ class TestSievesAtHeight:
 
     @pytest.mark.parametrize("center", SPLIT_TAILS)
     @pytest.mark.parametrize("m", [1, 2, 6])
-    def test_factor_batch_with_a_factorize_tail(self, center, m):
-        start, hi = center - 100 * m, center + 100 * m
-        (factors,) = census._factor_batch(start, hi, m)
-        expected = [trial_division_factorize(n) for n in range(start, hi, m)]
-        assert [list(f) for f in factors] == expected
+    def test_giuga_with_a_factorize_tail(self, center, m):
+        lo, hi = center - 100 * m, center + 100 * m
+        residue_filter = (m, center % m) if m > 1 else None
+        got = uncapped_search(RangeQuery(lo, hi, residue_filter), "giuga")
+        assert got == naive_classifier_scan(lo, hi, "giuga", residue_filter)
+
+    @pytest.mark.parametrize(
+        "start, hi, m",
+        [(2, 5_000, 1), (3, 5_000, 4), *((c - 600, c + 600, 6) for c in SPLIT_TAILS)],
+    )
+    def test_giuga_batch_against_closed_forms(self, start, hi, m):
+        # phi_G of the even n as well, which no totient column covers, and D(n)
+        expected = []
+        for n in range(start, hi, m):
+            factors = trial_division_factorize(n)
+            fn = naive_script_F(n)
+            d = prod(p**k for p, k in factors if fn % naive_script_F(p) == 0)
+            expected.append((gaussian_phi(n), d))
+        assert list(zip(*census._giuga_batch(start, hi, m))) == expected
 
     @pytest.mark.parametrize(
         "lo, hi", [((1 << 31) + 12345, (1 << 31) + 12345 + (1 << 16)), (10**6, 10**6 + 500)]
@@ -411,7 +428,7 @@ class TestSievesAtHeight:
         monkeypatch.setattr(census, "is_prime", refuse)
         monkeypatch.setattr(census, "_factorize", refuse)
         census._composite_flags(lo, hi)
-        census._factor_batch(lo, hi, 1)
+        census._giuga_batch(lo, hi, 1)
         census._totient_batch(lo + 1 - lo % 2, hi, 2)
 
     SIEVED_PATHS = {
@@ -447,9 +464,9 @@ class TestTopOfDomain:
 
     LO, HI = (1 << 63) - 256, 1 << 63
 
-    @pytest.mark.parametrize("which", ["g_cyclic", "congruence_exception", "carmichael"])
+    @pytest.mark.parametrize("which", ["g_cyclic", "congruence_exception", "carmichael", "giuga"])
     def test_last_window_against_naive(self, which):
-        got = search_classifier(RangeQuery(self.LO, self.HI), which)
+        got = uncapped_search(RangeQuery(self.LO, self.HI), which)
         assert got == naive_classifier_scan(self.LO, self.HI, which)
 
     def test_gfp_last_window_against_naive(self):
@@ -578,7 +595,7 @@ class TestSearchClassifier:
             return real(limit)
 
         monkeypatch.setattr(census, "primes_up_to", bounded)
-        got = search_classifier(RangeQuery(lo, hi), which, block_size=200)
+        got = uncapped_search(RangeQuery(lo, hi), which, block_size=200)
         assert got == naive_classifier_scan(lo, hi, which)
 
 

@@ -53,6 +53,11 @@ class TestClassifyCommand:
         _, out, _ = run_cli(capsys, "classify", "15", "--giuga")
         assert "giuga_member: true" in out
 
+    def test_giuga_cap_only_with_giuga(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "15", "--giuga-cap", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: only classify --giuga takes --giuga-cap\n"
+
 
 class TestSearchCommand:
     def test_g_lehmer(self, capsys):
@@ -86,6 +91,13 @@ class TestSearchCommand:
         code, out, err = run_cli(capsys, "search", which, "--hi", "3000", "--base", "1+2i")
         assert (code, out) == (2, "")
         assert err == "error: only search gfp takes --base\n"
+
+    @pytest.mark.parametrize("which", ["g_cyclic", "gfp"])
+    def test_giuga_cap_only_with_giuga(self, capsys, which):
+        argv = ["search", which, "--hi", "40", "--giuga-cap", "3"]
+        code, out, err = run_cli(capsys, *argv, *(["--base", "1+2i"] if which == "gfp" else []))
+        assert (code, out) == (2, "")
+        assert err == "error: only search giuga takes --giuga-cap\n"
 
     @pytest.mark.parametrize("hi, code", [(2**63, 0), (2**63 + 1, 2)])
     def test_hi_up_to_2_63(self, capsys, hi, code):

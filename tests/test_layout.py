@@ -99,3 +99,17 @@ def test_one_cache():
         and any(_decorator_name(d) in CACHE_DECORATORS for d in node.decorator_list)
     ]
     assert set(found) <= {("arith.py", "factorize")}, found
+
+
+def test_factorize_only_for_what_the_sieves_leave():
+    """The census functions that name _factorize are the two column sieves,
+    for the cofactors their primes leave above 2**32, and the confirm of the
+    survivors of a sieve: no exact scan factors every n of its range."""
+    source = next(path for path in SOURCES if path.name == "census.py")
+    found = {
+        node.name
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "_factorize" for n in ast.walk(node))
+    }
+    assert found == {"_totient_batch", "_giuga_batch", "_factored_confirm"}
