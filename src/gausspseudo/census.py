@@ -17,9 +17,10 @@ g_lehmer, and the base-2 pseudoprimes of carmichael and williams_1.  It
 sieves by a divisor that the exponent (F(n), or n-1 for the classical test)
 must have for every prime power q | n: the order of a or of z/conj(z) mod q
 (_unit_orders, by pow or the V-chain of fermat.ratio_power_is_one), or the
-group exponent or order of q.  It also rules out n = kP with a large prime
-P, so the exact test, or the factorization and the class predicate, runs on
-a few percent of the composites only.  g_cyclic and congruence_exception are
+group exponent or order of q.  One large-prime rule, _large_prime_bounds,
+rules out n = kP with a prime P above each test's witness |w(k)|, so the
+exact test, or the factorization and the class predicate, runs on a few
+percent of the composites only.  g_cyclic and congruence_exception are
 rules on (n, phi_G(n), lambda_G(n)), and giuga one on (n, phi_G(n), D(n)),
 which multiplicative sieves give without factoring n.  All kernels are pure;
 a cancelled run simply never returns a partial result.
@@ -175,6 +176,8 @@ def _run_blocks(kernel, params, query: RangeQuery, residue_filter, block_size, p
     map asks for it.  The pool never exceeds the available CPUs or the block
     count.
     """
+    if block_size < 1:
+        raise ValueError("block_size must be positive")
     blocks = range(query.lo, query.hi, block_size)
     tasks = ((lo, min(lo + block_size, query.hi), residue_filter, *params) for lo in blocks)
     workers = min(query.workers, len(blocks), available_cpus())
@@ -219,7 +222,7 @@ def _totient_batch(start: int, hi: int, m: int):
             if v >= square:  # phi_G(p**k) = lambda_G(p**k) = p**(k-1) * F(p), p odd
                 ts = [p ** (k - 1) * script_F(p) for p, k in _factorize(v).factors]
                 phi[idx], lam[idx], rem[idx] = phi[idx] * prod(ts), lcm(lam[idx], *ts), 1
-    last = [r + 1 if r % 4 == 3 else max(r - 1, 1) for r in rem]  # F(r), or 1 for r = 1
+    last = [r + 1 if r % 4 == 3 else r - 1 or 1 for r in rem]  # F(r), or 1 for r = 1
     return [x * y for x, y in zip(phi, last)], map(lcm, lam, last)
 
 
@@ -458,39 +461,18 @@ def _gfp_orders(z: GaussianBase, lo: int, hi: int):
     )
 
 
-def _gfp_large_prime_bounds(z: GaussianBase, hi: int) -> tuple:
-    """Pairs (k, bound) such that n = kP > bound with P prime fails base z.
-
-    With w = z/conj(z) and e = (-1/P), w^P = w^e (mod P).  Since n mod 4
-    fixes e once k is odd, and F(n) = n when k is even, this gives w^F(n) =
-    w^(+-F(k)) (mod P), which is 1 only if P divides Im(z^F(k)).  A prime P
-    above |Im(z^F(k))| and above 2 never does when Im(z^F(k)) is nonzero.
-    It is zero for every odd k when z/conj(z) is a root of unity (real or
-    imaginary z, 1+1i, 2+2i), which leaves those k without a rule.
+def _large_prime_bounds(witness, kmax: int, hi: int) -> tuple:
+    """The large-prime rule of a test: pairs (k, bound < hi), 2 <= k <= kmax,
+    such that no n = kP > bound with P prime passes, where kP with P odd
+    can pass only if P divides w = witness(k) or P <= |w|.  For w nonzero,
+    bound = k * max(2, |w|) makes P odd and above |w|; w = 0 gives no rule.
     """
-    ims = [0]
-    a, b = 1, 0
-    for _ in range(256):
-        a, b = a * z.re - b * z.im, a * z.im + b * z.re
-        ims.append(b)
     rules = []
-    for k in range(2, 255):  # codes are bytes
-        im = ims[script_F(k)]
-        bound = k * max(2, abs(im))
-        if im and bound < hi:
+    for k in range(2, kmax + 1):
+        w = witness(k)
+        bound = k * max(2, abs(w))
+        if w and bound < hi:
             rules.append((k, bound))
-    return tuple(rules)
-
-
-def _fermat_large_prime_bounds(a: int, hi: int) -> tuple:
-    """Pairs (k, bound) below hi such that n = kP > bound with P prime fails
-    base a: a^(n-1) = a^(k-1) (mod P), and P > a^(k-1) - 1 >= 1 (after
-    R. G. E. Pinch, "The pseudoprimes up to 10^13", ANTS-IV, 2000).
-    """
-    rules, k = [], 2
-    while (bound := k * (a ** (k - 1) - 1)) < hi:
-        rules.append((k, bound))
-        k += 1
     return tuple(rules)
 
 
@@ -500,8 +482,14 @@ def _passes_fermat(a: int, n: int) -> bool:
 
 def _fermat_spec(a: int, lo: int, hi: int, confirm):
     """The sieve spec of the n in [lo, hi) that pass base a and confirm: the
-    orders of a for n - 1 and Pinch's bounds (each block keeps those < hi)."""
-    return (*_mask_orders(a, lo, hi), _fermat_large_prime_bounds(a, hi), confirm)
+    orders of a for n - 1, and the large-prime rule with the witness
+    a^(k-1) - 1.  For n = kP with P prime, a^(n-1) = a^(k-1) (mod P), so P
+    divides the witness if n passes (after R. G. E. Pinch, "The pseudoprimes
+    up to 10^13", ANTS-IV, 2000).  As a^(k-1) - 1 >= 2^(k-1) - 1, no k
+    beyond the bit length of hi gives a bound below hi.
+    """
+    bounds = _large_prime_bounds(lambda k: a ** (k - 1) - 1, min(254, hi.bit_length()), hi)
+    return (*_mask_orders(a, lo, hi), bounds, confirm)
 
 
 def _passes_gfp(z: GaussianBase, n: int) -> bool:
@@ -526,18 +514,6 @@ def _korselt_orders(group_order, lo: int, hi: int):
                 ds.append(d)
             q, k = q * p, k + 1
     return qs, ds
-
-
-def _korselt_bounds(kmax: int) -> tuple:
-    """Pairs (k, k(k + 2)): a composite n = kP > k(k + 2), so with P a prime
-    above k + 2, is neither G-Carmichael nor G-Lehmer.
-
-    As P > k, P exactly divides n, so P - e = lambda_G(P) = phi_G(P), with
-    e = (-1/P), divides F(n) = n - c in either class.  As n - c =
-    k(P - e) + ke - c, it would divide ke - c, which is nonzero (k >= 2,
-    |c| <= 1) and at most k + 1 < P - e in absolute value.
-    """
-    return tuple((k, k * (k + 2)) for k in range(2, kmax + 1))
 
 
 def _factored_confirm(predicate, n: int) -> bool:
@@ -612,9 +588,15 @@ def _joint_kernel(task):
 
 def _korselt_search(group_order, kmax: int, predicate, lo: int, hi: int):
     """A Korselt class: the sieve by group_order(q) | F(n) at each prime power
-    q | n and the large-prime rule up to kmax; factored survivors are decided."""
+    q | n and the large-prime rule with the witness k + 2, up to kmax;
+    factored survivors are decided.  For n = kP with P > k + 2 prime, P
+    exactly divides n; with e = (-1/P), P - e = lambda_G(P) = phi_G(P)
+    divides F(n) = n - c = k(P - e) + ke - c in either class, so P - e
+    divides ke - c, where 0 < |ke - c| <= k + 1 < P - e (k >= 2, |c| <= 1).
+    """
     confirm = partial(_factored_confirm, predicate)
-    spec = (*_korselt_orders(group_order, lo, hi), _korselt_bounds(kmax), confirm)
+    bounds = _large_prime_bounds(lambda k: k + 2, kmax, hi)
+    spec = (*_korselt_orders(group_order, lo, hi), bounds, confirm)
     return _sieve_kernel, (_F_CLASSES, (spec,))
 
 
@@ -693,11 +675,23 @@ def search_gfp(
     A sieve rules out most composites first: per prime power q, the order
     of z/conj(z) modulo q, computed once per query with the V-chain of
     fermat.ratio_power_is_one, must divide F(n) for every multiple n of q,
-    and n = kP with a large prime P fails when P exceeds |Im(z^F(k))| > 0.
-    The survivors are confirmed by the exact test,
+    and the large-prime rule with the witness Im(z^F(k)) rules out n = kP
+    with a large prime P.  The survivors are confirmed by the exact test,
     fermat.gaussian_fermat_test.
     """
-    bounds = _gfp_large_prime_bounds(z, query.hi)
+    # With w = z/conj(z) and e = (-1/P) for an odd prime P not dividing
+    # z*conj(z) (else n is an invalid modulus), w^P = w^e (mod P).  Since n
+    # mod 4 fixes e once k is odd, and F(n) = n when k is even, this gives
+    # w^F(n) = w^(+-F(k)) (mod P) for n = kP, which is 1 only if P divides
+    # Im(z^F(k)).  It is zero for every odd k when z/conj(z) is a root of
+    # unity (real or imaginary z, 1+1i, 2+2i), which leaves those k without
+    # a rule.  Codes are bytes, so k <= 254.
+    ims = [0]  # ims[e] = Im(z^e)
+    x, y = 1, 0
+    for _ in range(255):
+        x, y = x * z.re - y * z.im, x * z.im + y * z.re
+        ims.append(y)
+    bounds = _large_prime_bounds(lambda k: ims[script_F(k)], 254, query.hi)
     spec = (*_gfp_orders(z, query.lo, query.hi), bounds, partial(_passes_gfp, z))
     parts = _run_blocks(
         _sieve_kernel, (_F_CLASSES, (spec,)), query, query.residue_filter, block_size, progress
@@ -721,17 +715,18 @@ def search_classifier(
     numbers failing both power congruences.
 
     'g_carmichael' and 'g_lehmer' are sieved as search_gfp is, by the
-    Korselt criterion: lambda_G(q), respectively phi_G(q), divides F(n)
-    for every prime power q | n; n = kP with a prime P > k + 2 fails both.
-    About 3 percent (g_carmichael) and 1.3 percent (g_lehmer) of a window
-    of 2**16 near 10**7 survive to be factored and decided.  'carmichael'
-    and 'williams_1' are sieved as the joint table's base-2 column is,
-    and factor and decide the base-2 Fermat pseudoprimes that remain.
-    'g_cyclic' and 'congruence_exception' are decided from phi_G(n) and
-    lambda_G(n), and 'giuga' from phi_G(n) and D(n), the product of the
-    p^k || n with F(p) | F(n); multiplicative sieves give both pairs
-    without factoring n.  'g_lehmer', 'carmichael', 'williams_1',
-    'g_cyclic' and 'congruence_exception' search the odd n only.
+    Korselt criterion: lambda_G(q), respectively phi_G(q), divides F(n) for
+    every prime power q | n, and by the large-prime rule with the witness
+    k + 2: n = kP with a prime P > k + 2 fails both.  About 3 percent
+    (g_carmichael) and 1.3 percent (g_lehmer) of a window of 2**16 near
+    10**7 survive to be factored and decided.  'carmichael' and 'williams_1'
+    are sieved as the joint table's base-2 column is, with the witness
+    2^(k-1) - 1, and factor and decide the base-2 Fermat pseudoprimes that
+    remain.  'g_cyclic' and 'congruence_exception' are decided from phi_G(n)
+    and lambda_G(n), and 'giuga' from phi_G(n) and D(n), the product of the
+    p^k || n with F(p) | F(n); multiplicative sieves give both pairs without
+    factoring n.  'g_lehmer', 'carmichael', 'williams_1', 'g_cyclic' and
+    'congruence_exception' search the odd n only.
     Membership is decided by classify's PREDICATES, g_cyclic_from_orders
     and giuga_from_totient.
     """
@@ -763,11 +758,11 @@ def joint_census(
     pseudoprimes (columns) in the query range.
 
     Classical pseudoprimes are collected first: per column base a, a sieve
-    on multiplicative orders and large prime factors rules out most
-    composites, and one modular exponentiation a^(n-1) mod n settles each
-    survivor.  The orders are computed once per query.  The Gaussian tests
-    run only on the classical pseudoprimes, in the block's worker.  Integer
-    bases must satisfy 2 <= a < 2**63.
+    on multiplicative orders and the large-prime rule with Pinch's witness
+    a^(k-1) - 1 rules out most composites, and one modular exponentiation
+    a^(n-1) mod n settles each survivor.  Orders and rules are built once
+    per query.  The Gaussian tests run only on the classical pseudoprimes,
+    in the block's worker.  Integer bases must satisfy 2 <= a < 2**63.
     """
     gaussian_bases = tuple(gaussian_bases)
     integer_bases = tuple(integer_bases)

@@ -47,6 +47,7 @@ from gausspseudo.classify import (
 from gausspseudo.arith import MAX_ARG, factorize, gaussian_lambda, gaussian_phi, is_prime
 from gausspseudo.fermat import (
     BASE_PANEL,
+    TABLE_INTEGER_BASES,
     TestOutcome,
     gaussian_fermat_im_test,
     is_fermat_psp,
@@ -458,6 +459,64 @@ class TestSievesAtHeight:
         assert all((kmax == 1) == (lo > census._SIEVE_CUTOFF) for kmax in kmaxes), kmaxes
 
 
+class TestLargePrimeRules:
+    """Every large-prime rule the searches build at hi = 2**32, checked on
+    n = kP for the first primes P with kP > bound, by a route that shares
+    no code with the sieve."""
+
+    HI = 1 << 32
+
+    def built_rules(self, monkeypatch, search):
+        """The rule tables that search builds for a window below HI, in the
+        order it builds them; no block runs."""
+        built = []
+        real = census._large_prime_bounds
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(census, "_large_prime_bounds", recording)
+        monkeypatch.setattr(census, "_run_blocks", lambda *args: [])
+        search(RangeQuery(self.HI - 1000, self.HI))
+        assert built and all(built)
+        return built
+
+    @staticmethod
+    def beyond(k, bound, count=3):
+        """n = kP for the first count primes P with kP > bound."""
+        ns, p = [], bound // k + 1
+        while len(ns) < count:
+            if is_prime(p):
+                ns.append(k * p)
+            p += 1
+        return ns
+
+    def test_fermat(self, monkeypatch):
+        tables = self.built_rules(
+            monkeypatch, lambda query: joint_census(query, (Z12,), TABLE_INTEGER_BASES)
+        )
+        assert len(tables) == len(TABLE_INTEGER_BASES)
+        for a, rules in zip(TABLE_INTEGER_BASES, tables):
+            for k, bound in rules:
+                for n in self.beyond(k, bound):
+                    assert pow(a, n - 1, n) != 1, (a, k, n)
+
+    @pytest.mark.parametrize("z", BASE_PANEL, ids=str)
+    def test_gaussian(self, monkeypatch, z):
+        (rules,) = self.built_rules(monkeypatch, lambda query: search_gfp(query, z))
+        for k, bound in rules:
+            for n in self.beyond(k, bound):
+                assert gaussian_fermat_im_test(n, z) is not TestOutcome.PASS, (z, k, n)
+
+    @pytest.mark.parametrize("which", ["g_carmichael", "g_lehmer"])
+    def test_korselt(self, monkeypatch, which):
+        (rules,) = self.built_rules(monkeypatch, lambda query: search_classifier(query, which))
+        for k, bound in rules:
+            for n in self.beyond(k, bound):
+                assert not is_g_carmichael(n) and not is_g_lehmer(n), (which, k, n)
+
+
 class TestTopOfDomain:
     """hi = 2**63 is accepted, so searches reach n = 2**63 - 1; every order
     table there still fits the int64 arrays."""
@@ -788,6 +847,23 @@ class TestRunBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 22  # a block of 2**14 takes about 1.5 MB
+
+    OPERATIONS = {
+        "search_classifier": lambda query, size: search_classifier(
+            query, "g_carmichael", block_size=size
+        ),
+        "search_gfp": lambda query, size: search_gfp(query, Z12, block_size=size),
+        "joint_census": lambda query, size: joint_census(query, (Z12,), (2,), block_size=size),
+        "carmichael_intersection_scan": lambda query, size: carmichael_intersection_scan(
+            query, block_size=size
+        ),
+    }
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_non_positive_block_size_rejected(self, operation, size):
+        with pytest.raises(ValueError, match="block_size must be positive"):
+            self.OPERATIONS[operation](RangeQuery(2, 1000), size)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
     def test_available_cpus_follows_affinity(self):

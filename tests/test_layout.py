@@ -57,26 +57,40 @@ def test_domain_rule_has_one_home():
     assert not found, found
 
 
-ORDER_BUILDERS = {"_unit_orders", "_mask_orders", "_gfp_orders", "_korselt_orders"}
-BOUND_RULES = {"_fermat_large_prime_bounds", "_gfp_large_prime_bounds", "_korselt_bounds"}
+def census_functions():
+    """The module-level functions of census.py, by name."""
+    source = next(path for path in SOURCES if path.name == "census.py")
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+TABLE_BUILDER_SUFFIXES = ("_orders", "_bounds", "_witness")
 
 
 def test_kernels_build_no_tables():
-    """Order tables and large-prime bounds are built once per query, in the
-    parent: no block kernel of census.py names an order builder or a bound rule."""
-    source = next(path for path in SOURCES if path.name == "census.py")
-    kernels = [
-        node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and node.name.endswith("_kernel")
-    ]
+    """Order tables and large-prime rules are built once per query, in the
+    parent: no block kernel of census.py names a function of census.py
+    whose name ends in one of TABLE_BUILDER_SUFFIXES."""
+    functions = census_functions()
+    builders = {name for name in functions if name.endswith(TABLE_BUILDER_SUFFIXES)}
+    assert {"_unit_orders", "_large_prime_bounds"} <= builders
+    kernels = [node for name, node in functions.items() if name.endswith("_kernel")]
     assert kernels
     found = [
         (kernel.name, node.lineno, node.id)
         for kernel in kernels
         for node in ast.walk(kernel)
-        if isinstance(node, ast.Name) and node.id in ORDER_BUILDERS | BOUND_RULES
+        if isinstance(node, ast.Name) and node.id in builders
     ]
     assert not found, found
+
+
+def test_one_large_prime_rule():
+    """Every sieved test states its large-prime rule through one function,
+    given the test's witness."""
+    assert [name for name in census_functions() if name.endswith("_bounds")] == [
+        "_large_prime_bounds"
+    ]
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}
