@@ -17,10 +17,16 @@ g_lehmer, and the base-2 pseudoprimes of carmichael and williams_1.  It
 sieves by a divisor that the exponent (F(n), or n-1 for the classical test)
 must have for every prime power q | n: the order of a or of z/conj(z) mod q
 (_unit_orders, by pow or the V-chain of fermat.ratio_power_is_one), or the
-group exponent or order of q.  One large-prime rule, _large_prime_bounds,
-rules out n = kP with a prime P above each test's witness |w(k)|, so the
-exact test, or the factorization and the class predicate, runs on a few
-percent of the composites only.  g_cyclic and congruence_exception are
+group exponent or order of q.  Each test also has a witness w(k) for the
+n = kP with P prime: such an n with P odd passes only if P divides w(k) or
+P <= |w(k)|.  The size half of that rule, _large_prime_bounds, clears every
+n = kP with P above |w(k)| for all three witnesses: Pinch's a^(k-1) - 1,
+Im(z^F(k)) and the Korselt k + 2.  The divisibility half clears, among the
+survivors, each n = kP with P odd and P not dividing w(k); it holds for the
+two Fermat tests, whose proofs give P | w(k), and not for the Korselt
+classes, whose proof gives only P <= k + 2.  So the exact test, or the
+factorization and the class predicate, runs on a few percent of the
+composites only.  g_cyclic and congruence_exception are
 rules on (n, phi_G(n), lambda_G(n)), and giuga one on (n, phi_G(n), D(n)),
 which multiplicative sieves give without factoring n.  All kernels are pure;
 a cancelled run simply never returns a partial result.
@@ -169,17 +175,24 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(kernel, params, query: RangeQuery, residue_filter, block_size, progress=None):
-    """The results of kernel over the blocks of query, in block order.
+def _block_starts(query: RangeQuery, block_size: int) -> range:
+    """The starts of the blocks of block_size that cover query.  Every public
+    range operation asks for them first, so a block_size below 1 raises
+    ValueError before any search or early return."""
+    if block_size < 1:
+        raise ValueError("block_size must be positive")
+    return range(query.lo, query.hi, block_size)
+
+
+def _run_blocks(kernel, params, query: RangeQuery, residue_filter, blocks: range, progress=None):
+    """The results of kernel over the blocks of query, starting at blocks,
+    in block order.
 
     Each block's task, (lo, hi, residue_filter, *params), is built only when
     map asks for it.  The pool never exceeds the available CPUs or the block
     count.
     """
-    if block_size < 1:
-        raise ValueError("block_size must be positive")
-    blocks = range(query.lo, query.hi, block_size)
-    tasks = ((lo, min(lo + block_size, query.hi), residue_filter, *params) for lo in blocks)
+    tasks = ((lo, min(lo + blocks.step, query.hi), residue_filter, *params) for lo in blocks)
     workers = min(query.workers, len(blocks), available_cpus())
     results = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -320,7 +333,8 @@ def _sieve_progression(flags: bytearray, start: int, m: int, bounds, qs, ds, c: 
 
     flags holds the codes of _cofactor_codes.  Two rules clear:
 
-    * large prime: for each (k, bound) in bounds, every n > bound coded k;
+    * large prime, its size half: for each (k, bound) in bounds, every
+      n > bound coded k;
     * order sieve: for each prime power q with its d in (qs, ds), a
       multiple of q can pass only if n = 0 (mod q) and n = c (mod d); d = 0
       means no multiple of q passes.  One slice saves the class that may
@@ -461,15 +475,27 @@ def _gfp_orders(z: GaussianBase, lo: int, hi: int):
     )
 
 
-def _large_prime_bounds(witness, kmax: int, hi: int) -> tuple:
-    """The large-prime rule of a test: pairs (k, bound < hi), 2 <= k <= kmax,
+class _SieveSpec(NamedTuple):
+    """One test of _sieve_kernel, built once per query, in the parent."""
+
+    qs: array  # the prime powers q of the order sieve
+    ds: array  # per q: a passing multiple n of q has d | n - c; d = 0: none passes
+    bounds: tuple  # the size half of the large-prime rule, (k, bound) pairs
+    witnesses: tuple  # w(k) at index k for the divisibility half; () for none
+    confirm: object  # n -> bool: the exact test of each survivor
+
+
+def _large_prime_bounds(witnesses, hi: int) -> tuple:
+    """The size half of a test's large-prime rule: pairs (k, bound < hi)
     such that no n = kP > bound with P prime passes, where kP with P odd
-    can pass only if P divides w = witness(k) or P <= |w|.  For w nonzero,
-    bound = k * max(2, |w|) makes P odd and above |w|; w = 0 gives no rule.
+    can pass only if P divides w = witnesses[k] (0 for k < 2) or P <= |w|.
+    For w nonzero, bound = k * max(2, |w|) makes P odd and above |w|;
+    w = 0 gives no rule.  The Fermat tests, whose proofs give P | w, also
+    carry the witnesses to the kernel for the divisibility half; the
+    Korselt classes, with only P <= k + 2, have this half alone.
     """
     rules = []
-    for k in range(2, kmax + 1):
-        w = witness(k)
+    for k, w in enumerate(witnesses):
         bound = k * max(2, abs(w))
         if w and bound < hi:
             rules.append((k, bound))
@@ -480,20 +506,49 @@ def _passes_fermat(a: int, n: int) -> bool:
     return pow(a, n - 1, n) == 1
 
 
-def _fermat_spec(a: int, lo: int, hi: int, confirm):
-    """The sieve spec of the n in [lo, hi) that pass base a and confirm: the
-    orders of a for n - 1, and the large-prime rule with the witness
-    a^(k-1) - 1.  For n = kP with P prime, a^(n-1) = a^(k-1) (mod P), so P
-    divides the witness if n passes (after R. G. E. Pinch, "The pseudoprimes
-    up to 10^13", ANTS-IV, 2000).  As a^(k-1) - 1 >= 2^(k-1) - 1, no k
-    beyond the bit length of hi gives a bound below hi.
+def _fermat_witness(a: int, hi: int) -> tuple:
+    """Pinch's witnesses of base a: a^(k-1) - 1 at index k, for 2 <= k <=
+    the bit length of hi (at most 254), and 0 at k = 0 and 1.  For n = kP
+    with P prime, a^(n-1) = a^(k-1) (mod P), so P divides the witness if n
+    passes (after R. G. E. Pinch, "The pseudoprimes up to 10^13", ANTS-IV,
+    2000).  As a^(k-1) - 1 >= 2^(k-1) - 1, no larger k gives a bound
+    below hi.
     """
-    bounds = _large_prime_bounds(lambda k: a ** (k - 1) - 1, min(254, hi.bit_length()), hi)
-    return (*_mask_orders(a, lo, hi), bounds, confirm)
+    return (0, 0, *(a ** (k - 1) - 1 for k in range(2, min(254, hi.bit_length()) + 1)))
+
+
+def _fermat_spec(a: int, lo: int, hi: int, confirm) -> _SieveSpec:
+    """The sieve spec of the n in [lo, hi) that pass base a and confirm: the
+    orders of a for n - 1, and both halves of the large-prime rule with the
+    witnesses of _fermat_witness."""
+    witnesses = _fermat_witness(a, hi)
+    return _SieveSpec(
+        *_mask_orders(a, lo, hi), _large_prime_bounds(witnesses, hi), witnesses, confirm
+    )
 
 
 def _passes_gfp(z: GaussianBase, n: int) -> bool:
     return gaussian_fermat_test(n, z) is TestOutcome.PASS
+
+
+def _gfp_witness(z: GaussianBase) -> tuple:
+    """The witnesses of the Gaussian test to base z: Im(z^F(k)) at index k,
+    for 2 <= k <= 254 (codes are bytes), and 0 at k = 0 and 1.
+
+    With w = z/conj(z) and e = (-1/P) for an odd prime P not dividing
+    z*conj(z) (else n is an invalid modulus), w^P = w^e (mod P).  Since n
+    mod 4 fixes e once k is odd, and F(n) = n when k is even, this gives
+    w^F(n) = w^(+-F(k)) (mod P) for n = kP, which is 1 only if P divides
+    Im(z^F(k)).  It is zero for every odd k when z/conj(z) is a root of
+    unity (real or imaginary z, 1+1i, 2+2i), which leaves those k without
+    a rule.
+    """
+    ims = [0]  # ims[e] = Im(z^e)
+    x, y = 1, 0
+    for _ in range(255):
+        x, y = x * z.re - y * z.im, x * z.im + y * z.re
+        ims.append(y)
+    return (0, 0, *(ims[script_F(k)] for k in range(2, 255)))
 
 
 def _korselt_orders(group_order, lo: int, hi: int):
@@ -525,14 +580,18 @@ def _base2_confirm(predicate, n: int) -> bool:
 
 
 def _sieve_kernel(task):
-    """Per spec (qs, ds, bounds, confirm), the n of one block, after the
-    residue filter, that pass confirm(n), ascending.
+    """Per _SieveSpec of specs, the n of one block, after the residue
+    filter, that pass its confirm(n), ascending.
 
     On each class (modulus, residue, c) of classes, where the exponent is
     n - c, the sieve clears before confirm runs: the primes, the n with
     some (q, d) in (qs, ds) where q | n but d does not divide n - c, and
-    each n = kP > bound with P prime for a (k, bound) in bounds.  confirm
-    must reject all of them.  The block's cofactor codes serve every spec.
+    each n = kP > bound with P prime for a (k, bound) in bounds, the size
+    half of the large-prime rule.  Of the n left, the divisibility half
+    skips each n coded k with P = n/k odd, w = witnesses[k] nonzero and
+    P not dividing w.  confirm must reject all of them.  The block's
+    cofactor codes serve every spec; the survivors are found by scanning
+    their nonzero bytes.
     """
     lo, hi, residue_filter, classes, specs = task
     m, r = residue_filter or (1, 0)
@@ -541,10 +600,10 @@ def _sieve_kernel(task):
     # sieve by the primes up to 2**16 and Miller-Rabin, more than the rule saves:
     # with it, 2**14 windows at 2**33 and 2**40 ran 1.2-2.4x slower.
     reach = hi if hi <= _SIEVE_CUTOFF else 0
-    kmax = max((k for _, _, bounds, _ in specs for k, bound in bounds if bound < reach), default=1)
+    kmax = max((k for spec in specs for k, bound in spec.bounds if bound < reach), default=1)
     codes = _cofactor_codes(lo, hi, m, start, kmax)
     out = []
-    for qs, ds, bounds, confirm in specs:
+    for qs, ds, bounds, witnesses, confirm in specs:
         bounds = [(k, bound) for k, bound in bounds if bound < reach]
         hits = []
         for modulus, residue, c in classes:
@@ -552,9 +611,17 @@ def _sieve_kernel(task):
             if found is None:
                 continue
             i, step = found
+            first, stride = start + i * m, m * step
             flags = codes[i::step]
-            _sieve_progression(flags, start + i * m, m * step, bounds, qs, ds, c)
-            hits += filter(confirm, compress(range(start + i * m, hi, m * step), flags))
+            _sieve_progression(flags, first, stride, bounds, qs, ds, c)
+            cleared = flags.translate(_NOT)
+            j = cleared.find(0)
+            while j >= 0:
+                n, k = first + j * stride, flags[j]
+                w = witnesses[k] if k < len(witnesses) else 0
+                if not (w and (n // k) & 1 and w % (n // k)) and confirm(n):
+                    hits.append(n)
+                j = cleared.find(0, j + 1)
         out.append(sorted(hits))
     return out
 
@@ -588,15 +655,16 @@ def _joint_kernel(task):
 
 def _korselt_search(group_order, kmax: int, predicate, lo: int, hi: int):
     """A Korselt class: the sieve by group_order(q) | F(n) at each prime power
-    q | n and the large-prime rule with the witness k + 2, up to kmax;
-    factored survivors are decided.  For n = kP with P > k + 2 prime, P
-    exactly divides n; with e = (-1/P), P - e = lambda_G(P) = phi_G(P)
-    divides F(n) = n - c = k(P - e) + ke - c in either class, so P - e
-    divides ke - c, where 0 < |ke - c| <= k + 1 < P - e (k >= 2, |c| <= 1).
+    q | n and the size half of the large-prime rule with the witness k + 2,
+    up to kmax; factored survivors are decided.  For n = kP with P > k + 2
+    prime, P exactly divides n; with e = (-1/P), P - e = lambda_G(P) =
+    phi_G(P) divides F(n) = n - c = k(P - e) + ke - c in either class, so
+    P - e divides ke - c, where 0 < |ke - c| <= k + 1 < P - e (k >= 2,
+    |c| <= 1).  That gives P <= k + 2, not P | k + 2: no divisibility half.
     """
+    bounds = _large_prime_bounds((0, 0, *range(4, kmax + 3)), hi)  # k + 2 at index k
     confirm = partial(_factored_confirm, predicate)
-    bounds = _large_prime_bounds(lambda k: k + 2, kmax, hi)
-    spec = (*_korselt_orders(group_order, lo, hi), bounds, confirm)
+    spec = _SieveSpec(*_korselt_orders(group_order, lo, hi), bounds, (), confirm)
     return _sieve_kernel, (_F_CLASSES, (spec,))
 
 
@@ -676,25 +744,20 @@ def search_gfp(
     of z/conj(z) modulo q, computed once per query with the V-chain of
     fermat.ratio_power_is_one, must divide F(n) for every multiple n of q,
     and the large-prime rule with the witness Im(z^F(k)) rules out n = kP
-    with a large prime P.  The survivors are confirmed by the exact test,
+    with a prime P above |Im(z^F(k))| or, if P is odd, not dividing it.
+    The survivors are confirmed by the exact test,
     fermat.gaussian_fermat_test.
     """
-    # With w = z/conj(z) and e = (-1/P) for an odd prime P not dividing
-    # z*conj(z) (else n is an invalid modulus), w^P = w^e (mod P).  Since n
-    # mod 4 fixes e once k is odd, and F(n) = n when k is even, this gives
-    # w^F(n) = w^(+-F(k)) (mod P) for n = kP, which is 1 only if P divides
-    # Im(z^F(k)).  It is zero for every odd k when z/conj(z) is a root of
-    # unity (real or imaginary z, 1+1i, 2+2i), which leaves those k without
-    # a rule.  Codes are bytes, so k <= 254.
-    ims = [0]  # ims[e] = Im(z^e)
-    x, y = 1, 0
-    for _ in range(255):
-        x, y = x * z.re - y * z.im, x * z.im + y * z.re
-        ims.append(y)
-    bounds = _large_prime_bounds(lambda k: ims[script_F(k)], 254, query.hi)
-    spec = (*_gfp_orders(z, query.lo, query.hi), bounds, partial(_passes_gfp, z))
+    blocks = _block_starts(query, block_size)
+    witnesses = _gfp_witness(z)
+    spec = _SieveSpec(
+        *_gfp_orders(z, query.lo, query.hi),
+        _large_prime_bounds(witnesses, query.hi),
+        witnesses,
+        partial(_passes_gfp, z),
+    )
     parts = _run_blocks(
-        _sieve_kernel, (_F_CLASSES, (spec,)), query, query.residue_filter, block_size, progress
+        _sieve_kernel, (_F_CLASSES, (spec,)), query, query.residue_filter, blocks, progress
     )
     return [n for (hits,) in parts for n in hits]
 
@@ -730,6 +793,7 @@ def search_classifier(
     Membership is decided by classify's PREDICATES, g_cyclic_from_orders
     and giuga_from_totient.
     """
+    blocks = _block_starts(query, block_size)
     entry = _CLASS_SEARCHES.get(which)
     if entry is None:
         raise ValueError(f"unknown classifier {which!r}; choose from {CLASSIFIER_NAMES}")
@@ -741,8 +805,9 @@ def search_classifier(
         if residue_filter is None:
             return []
     kernel, params = entry.build(query.lo, query.hi)
-    size = block_size if entry.blocked else query.hi - query.lo
-    parts = _run_blocks(kernel, params, query, residue_filter, size, progress)
+    if not entry.blocked:
+        blocks = _block_starts(query, query.hi - query.lo)
+    parts = _run_blocks(kernel, params, query, residue_filter, blocks, progress)
     return [n for (hits,) in parts for n in hits]
 
 
@@ -759,11 +824,13 @@ def joint_census(
 
     Classical pseudoprimes are collected first: per column base a, a sieve
     on multiplicative orders and the large-prime rule with Pinch's witness
-    a^(k-1) - 1 rules out most composites, and one modular exponentiation
+    a^(k-1) - 1 (n = kP with P prime passes only if P divides it) rules out
+    most composites, and one modular exponentiation
     a^(n-1) mod n settles each survivor.  Orders and rules are built once
     per query.  The Gaussian tests run only on the classical pseudoprimes,
     in the block's worker.  Integer bases must satisfy 2 <= a < 2**63.
     """
+    blocks = _block_starts(query, block_size)
     gaussian_bases = tuple(gaussian_bases)
     integer_bases = tuple(integer_bases)
     for a in integer_bases:
@@ -775,7 +842,7 @@ def joint_census(
         )
         params = (specs, gaussian_bases)
         for part in _run_blocks(
-            _joint_kernel, params, query, query.residue_filter, block_size, progress
+            _joint_kernel, params, query, query.residue_filter, blocks, progress
         ):
             for row, part_row in zip(counts, part):
                 for j, c in enumerate(part_row):
@@ -801,10 +868,11 @@ def carmichael_intersection_scan(
     filter are rejected.  Raises ConsistencyError if the Williams-route
     cross-check ever disagrees.
     """
+    blocks = _block_starts(query, block_size)
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
     kernel, params = _base2_search(carmichael_and_g_carmichael_3mod4, query.lo, query.hi)
-    parts = _run_blocks(kernel, params, query, (4, 3), block_size, progress)
+    parts = _run_blocks(kernel, params, query, (4, 3), blocks, progress)
     return [n for (hits,) in parts for n in hits]
 
 

@@ -89,7 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gaussian-integer Fermat tests, number classifications and censuses.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    common.add_argument(
+        "--quiet", action="store_true", help="suppress progress output and per-entry warnings"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify a single integer", parents=[common])
@@ -241,11 +243,18 @@ def main(argv=None) -> int:
         "table": _cmd_table,
         "verify": _cmd_verify,
     }
+    # Set on every call and put back after it: a process that runs main more
+    # than once, or calls the library after it, must not inherit a --quiet.
+    package_log = logging.getLogger(__package__)
+    level = package_log.level
+    package_log.setLevel(logging.ERROR if args.quiet else logging.WARNING)
     try:
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package_log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -310,8 +310,8 @@ class TestClassSieve:
                     if 1 < d < 1 << 63:  # phi_G(2**62) = 2**63 fits no int64
                         expected.append((q, d))
                     q *= p
-        _, (_, ((qs, ds, _, _),)) = census._CLASS_SEARCHES[which].build(lo, hi)
-        assert list(zip(qs, ds)) == expected
+        _, (_, (spec,)) = census._CLASS_SEARCHES[which].build(lo, hi)
+        assert list(zip(spec.qs, spec.ds)) == expected
 
     @pytest.mark.parametrize("which", ["g_carmichael", "g_lehmer"])
     def test_search_leaves_factorize_cache_alone(self, which):
@@ -517,6 +517,82 @@ class TestLargePrimeRules:
                 assert not is_g_carmichael(n) and not is_g_lehmer(n), (which, k, n)
 
 
+class TestDivisibilityRule:
+    """The divisibility half of the large-prime rule: n = kP with P an odd
+    prime that does not divide w(k) fails, for every witness table the
+    searches build at hi = 2**32 and every k up to the kernel's kmax there,
+    checked by a route that shares no code with the sieve."""
+
+    HI = 1 << 32
+
+    def built_specs(self, monkeypatch, search):
+        """The _SieveSpecs that search hands to its blocks for a window below
+        HI, and the kmax of the kernel's codes there; no block runs."""
+        params = []
+        monkeypatch.setattr(census, "_run_blocks", lambda kernel, p, *args: params.append(p) or [])
+        search(RangeQuery(self.HI - 1000, self.HI))
+        (built,) = params
+        specs = [spec for part in built for spec in part if isinstance(spec, census._SieveSpec)]
+        return specs, max(k for spec in specs for k, _ in spec.bounds)
+
+    @staticmethod
+    def not_dividing(w, count=3):
+        """The first count odd primes P <= |w| that do not divide w."""
+        found = []
+        for p in range(3, abs(w) + 1, 2):
+            if len(found) == count:
+                break
+            if w % p and is_prime(p):
+                found.append(p)
+        return found
+
+    def test_fermat(self, monkeypatch):
+        specs, kmax = self.built_specs(
+            monkeypatch, lambda query: joint_census(query, (Z12,), TABLE_INTEGER_BASES)
+        )
+        assert len(specs) == len(TABLE_INTEGER_BASES)
+        checked = 0
+        for a, spec in zip(TABLE_INTEGER_BASES, specs):
+            for k in range(2, kmax + 1):
+                for p in self.not_dividing(spec.witnesses[k]):
+                    n = k * p
+                    assert pow(a, n - 1, n) != 1, (a, k, n)
+                    checked += 1
+        assert checked > 2 * len(specs) * kmax  # 3 primes for nearly every (a, k)
+
+    @pytest.mark.parametrize("z", BASE_PANEL, ids=str)
+    def test_gaussian(self, monkeypatch, z):
+        (spec,), kmax = self.built_specs(monkeypatch, lambda query: search_gfp(query, z))
+        for k in range(2, kmax + 1):
+            for p in self.not_dividing(spec.witnesses[k]):
+                assert gaussian_fermat_im_test(k * p, z) is not TestOutcome.PASS, (z, k, p)
+
+    def test_confirm_sees_only_divisors(self, monkeypatch):
+        # one (4, 3) block of the joint table: every n = kP that reaches a
+        # base's confirm, with k its code and P odd, has P | a^(k-1) - 1
+        seen, kmaxes = [], []
+        real_codes, real_confirm = census._cofactor_codes, census._passes_fermat
+        monkeypatch.setattr(
+            census, "_cofactor_codes", lambda *args: kmaxes.append(args[-1]) or real_codes(*args)
+        )
+        monkeypatch.setattr(
+            census, "_passes_fermat", lambda a, n: seen.append((a, n)) or real_confirm(a, n)
+        )
+        lo = 10**6
+        joint_census(
+            RangeQuery(lo, lo + (1 << 16), (4, 3)), (Z12,), TABLE_INTEGER_BASES, block_size=1 << 16
+        )
+        (kmax,) = kmaxes
+        assert kmax > 2 and seen
+        for a, n in seen:
+            code = next(
+                (k for k in range(2, kmax + 1) if n % k == 0 and trial_division_is_prime(n // k)), 1
+            )
+            p = n // code
+            if code > 1 and p % 2:
+                assert (a ** (code - 1) - 1) % p == 0, (a, n, code)
+
+
 class TestTopOfDomain:
     """hi = 2**63 is accepted, so searches reach n = 2**63 - 1; every order
     table there still fits the int64 arrays."""
@@ -584,9 +660,9 @@ class TestSearchClassifier:
         sizes = []
         real = census._run_blocks
 
-        def counted(kernel, params, query, residue_filter, block_size, progress=None):
-            sizes.append(len(range(query.lo, query.hi, block_size)))
-            return real(kernel, params, query, residue_filter, block_size, progress)
+        def counted(kernel, params, query, residue_filter, blocks, progress=None):
+            sizes.append(len(blocks))
+            return real(kernel, params, query, residue_filter, blocks, progress)
 
         monkeypatch.setattr(census, "_run_blocks", counted)
         lo, hi = 2, 10**12
@@ -814,7 +890,7 @@ class TestRunBlocks:
         monkeypatch.setattr(census, "ProcessPoolExecutor", self.StubPool)
         monkeypatch.setattr(census, "available_cpus", lambda: 3)
         query = RangeQuery(2, 2 + tasks, None, 10**5)
-        out = census._run_blocks(itemgetter(0), (), query, None, 1)
+        out = census._run_blocks(itemgetter(0), (), query, None, range(2, 2 + tasks))
         assert out == list(range(2, 2 + tasks))
         assert self.StubPool.sizes == [expected]
 
@@ -823,7 +899,7 @@ class TestRunBlocks:
         monkeypatch.setattr(census, "ProcessPoolExecutor", self.StubPool)
         monkeypatch.setattr(census, "available_cpus", lambda: 1)
         query = RangeQuery(2, 4, None, 10**5)
-        assert census._run_blocks(itemgetter(0), (), query, None, 1) == [2, 3]
+        assert census._run_blocks(itemgetter(0), (), query, None, range(2, 4)) == [2, 3]
         assert self.StubPool.sizes == []
 
     def test_cancelled_search_stays_small(self):
@@ -856,6 +932,16 @@ class TestRunBlocks:
         "joint_census": lambda query, size: joint_census(query, (Z12,), (2,), block_size=size),
         "carmichael_intersection_scan": lambda query, size: carmichael_intersection_scan(
             query, block_size=size
+        ),
+        # paths that used to return before any block was built
+        "twin_pair_product": lambda query, size: search_classifier(
+            query, "twin_pair_product", block_size=size
+        ),
+        "joint_census without Gaussian bases": lambda query, size: joint_census(
+            query, (), (2,), block_size=size
+        ),
+        "odd-only class on even n": lambda query, size: search_classifier(
+            RangeQuery(query.lo, query.hi, (2, 0)), "carmichael", block_size=size
         ),
     }
 

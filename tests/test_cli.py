@@ -2,10 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gausspseudo
 from gausspseudo.census import CLASSIFIER_NAMES
 from gausspseudo.cli import main
 
@@ -248,6 +253,50 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "error" in err
+
+
+class TestVerifyQuiet:
+    """verify warns once per passing entry on stderr, and --quiet silences
+    those warnings as it silences progress; stdout is the same either way."""
+
+    PASSING = (143, 399, 527, 779)  # odd passes of 1+2i below 1000
+    LINES = "143\n341\n399\n527\n561\n779\n"
+
+    def run(self, path, *flags):
+        src = str(Path(gausspseudo.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        argv = ["verify", "--file", str(path), "--base", "1+2i", *flags]
+        done = subprocess.run(
+            [sys.executable, "-m", "gausspseudo.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        return done.stdout, done.stderr
+
+    def test_stderr(self, tmp_path):
+        f = tmp_path / "list.txt"
+        f.write_text(self.LINES)
+        loud_out, loud_err = self.run(f)
+        quiet_out, quiet_err = self.run(f, "--quiet")
+        assert quiet_err == ""
+        assert loud_err.splitlines() == [
+            f"WARNING: {n} passes the Gaussian test to base 1+2i" for n in self.PASSING
+        ]
+        assert quiet_out == loud_out
+        assert "passing: 143 399 527 779" in loud_out
+
+    def test_level_is_per_call(self, capsys, caplog, tmp_path):
+        # main runs many times in one process: no call keeps the last one's level
+        f = tmp_path / "list.txt"
+        f.write_text(self.LINES)
+        warned, outs = [], []
+        for flags in ([], ["--quiet"], [], ["--quiet"]):
+            caplog.clear()
+            outs.append(run_cli(capsys, "verify", "--file", str(f), "--base", "1+2i", *flags))
+            warned.append(sum(r.name.startswith("gausspseudo") for r in caplog.records))
+        assert warned == [4, 0, 4, 0]
+        assert len(set(outs)) == 1
 
 
 class TestWorkersDefault:
