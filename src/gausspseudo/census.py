@@ -24,12 +24,16 @@ n = kP with P above |w(k)| for all three witnesses: Pinch's a^(k-1) - 1,
 Im(z^F(k)) and the Korselt k + 2.  The divisibility half clears, among the
 survivors, each n = kP with P odd and P not dividing w(k); it holds for the
 two Fermat tests, whose proofs give P | w(k), and not for the Korselt
-classes, whose proof gives only P <= k + 2.  So the exact test, or the
-factorization and the class predicate, runs on a few percent of the
-composites only.  g_cyclic and congruence_exception are
-rules on (n, phi_G(n), lambda_G(n)), and giuga one on (n, phi_G(n), D(n)),
-which multiplicative sieves give without factoring n.  All kernels are pure;
-a cancelled run simply never returns a partial result.
+classes, whose proof gives only P <= k + 2.  Both halves read the block's
+cofactor codes, up to 2**32: the least k with n/k prime among the sieved
+k.  From k0 = ceil(lo / (hi - lo)) on, the quotient ranges [lo/k, hi/k) of
+consecutive k overlap, so one sieve of their union codes every k from k0
+to 254.  So the exact test, or the factorization and the class predicate,
+runs on a few percent of the composites only.  g_cyclic and
+congruence_exception are rules on (n, phi_G(n), lambda_G(n)), and giuga
+one on (n, phi_G(n), D(n)), which multiplicative sieves give without
+factoring n.  All kernels are pure; a cancelled run simply never returns a
+partial result.
 """
 
 from __future__ import annotations
@@ -293,13 +297,24 @@ def _class_in_progression(start: int, m: int, c: int, modulus: int):
     return (c - start) // g * pow(m // g, -1, step) % step, step
 
 
-def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearray:
+def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int, ktop: int) -> bytearray:
     """codes[i] for n = start + i*m in [lo, hi): 0 if n is prime, else the
-    least k in [2, kmax] with n/k prime, else 1."""
+    least sieved k with n/k prime, else 1.  The sieved k are those up to
+    kmax and those from k0 = ceil(lo / (hi - lo)) up to ktop >= kmax (at
+    most 254: codes are bytes).  So code k >= 2 says that n/k is prime, and
+    code 1 that no sieved k makes it so, not that no k does.
+
+    The quotients of k lie in [lo/k, hi/k), and from k0 on the ranges of
+    consecutive k overlap: one sieve of their union, at most about twice
+    the block long, serves every k in [k0, ktop] that divides some n of the
+    progression.  Each k < k0 has a sieve of its own.
+    """
     codes = _composite_flags(lo, hi)[start - lo :: m]
     size = len(codes)
-    for k in range(kmax, 1, -1):  # descending, so the least k is written last
-        found = _class_in_progression(start, m, 0, k)
+    k0 = -(-lo // (hi - lo))
+    runs = []  # (k, i, step, p0, end, pstep): n = start + i*m, ... and n/k in range(p0, end, pstep)
+    for k in range(ktop, 1, -1):  # descending, so the least k is written last
+        found = None if kmax < k < k0 else _class_in_progression(start, m, 0, k)
         if found is None:
             continue
         i, step = found
@@ -307,14 +322,20 @@ def _cofactor_codes(lo: int, hi: int, m: int, start: int, kmax: int) -> bytearra
         if p0 < 2:  # n = k itself: its cofactor 1 is no prime
             i, p0 = i + step, p0 + pstep
         count = len(range(i, size, step))
-        if count <= 0:
-            continue
-        prime = int.from_bytes(
-            _composite_flags(p0, p0 + (count - 1) * pstep + 1)[::pstep].translate(_NOT),
-            "little",
-        )
+        if count > 0:
+            runs.append((k, i, step, p0, p0 + (count - 1) * pstep + 1, pstep))
+    shared = [run for run in runs if run[0] >= k0]
+    if shared:
+        base = min(run[3] for run in shared)
+        table = _composite_flags(base, max(run[4] for run in shared))
+    for k, i, step, p0, end, pstep in runs:
+        if k >= k0:
+            quotients = table[p0 - base : end - base : pstep]
+        else:
+            quotients = _composite_flags(p0, end)[::pstep]
+        prime = int.from_bytes(quotients.translate(_NOT), "little")
         sub = int.from_bytes(codes[i::step], "little")
-        codes[i::step] = (sub & ~(prime * 255) | prime * k).to_bytes(count, "little")
+        codes[i::step] = (sub & ~(prime * 255) | prime * k).to_bytes(len(quotients), "little")
     return codes
 
 
@@ -506,22 +527,26 @@ def _passes_fermat(a: int, n: int) -> bool:
     return pow(a, n - 1, n) == 1
 
 
-def _fermat_witness(a: int, hi: int) -> tuple:
+def _fermat_witness(a: int, kmax: int) -> tuple:
     """Pinch's witnesses of base a: a^(k-1) - 1 at index k, for 2 <= k <=
-    the bit length of hi (at most 254), and 0 at k = 0 and 1.  For n = kP
-    with P prime, a^(n-1) = a^(k-1) (mod P), so P divides the witness if n
-    passes (after R. G. E. Pinch, "The pseudoprimes up to 10^13", ANTS-IV,
-    2000).  As a^(k-1) - 1 >= 2^(k-1) - 1, no larger k gives a bound
-    below hi.
+    kmax, and 0 at k = 0 and 1.  For n = kP with P prime, a^(n-1) =
+    a^(k-1) (mod P), so P divides the witness if n passes (after R. G. E.
+    Pinch, "The pseudoprimes up to 10^13", ANTS-IV, 2000).  That holds at
+    every k, so the divisibility half can use all k up to 254 that the
+    kernel codes.
     """
-    return (0, 0, *(a ** (k - 1) - 1 for k in range(2, min(254, hi.bit_length()) + 1)))
+    return (0, 0, *(a ** (k - 1) - 1 for k in range(2, kmax + 1)))
 
 
 def _fermat_spec(a: int, lo: int, hi: int, confirm) -> _SieveSpec:
     """The sieve spec of the n in [lo, hi) that pass base a and confirm: the
     orders of a for n - 1, and both halves of the large-prime rule with the
-    witnesses of _fermat_witness."""
-    witnesses = _fermat_witness(a, hi)
+    witnesses of _fermat_witness.  Up to 2**32, where blocks carry codes,
+    they reach k = 254.  Above, they stop at the bit length of hi, as the
+    size half needs: a^(k-1) - 1 >= 2^(k-1) - 1, so no larger k gives a
+    bound below hi.  There a base near 2**63 adds about 15 KB to every
+    task, against 250 KB for a table to k = 254."""
+    witnesses = _fermat_witness(a, 254 if hi <= _SIEVE_CUTOFF else hi.bit_length())
     return _SieveSpec(
         *_mask_orders(a, lo, hi), _large_prime_bounds(witnesses, hi), witnesses, confirm
     )
@@ -590,8 +615,10 @@ def _sieve_kernel(task):
     half of the large-prime rule.  Of the n left, the divisibility half
     skips each n coded k with P = n/k odd, w = witnesses[k] nonzero and
     P not dividing w.  confirm must reject all of them.  The block's
-    cofactor codes serve every spec; the survivors are found by scanning
-    their nonzero bytes.
+    cofactor codes serve every spec: they sieve every k up to the largest
+    k of the specs' bounds, and from k0 on up to the longest witness table
+    (so a Korselt spec, with none, adds no k), with none above 2**32.  The
+    survivors are found by scanning their nonzero bytes.
     """
     lo, hi, residue_filter, classes, specs = task
     m, r = residue_filter or (1, 0)
@@ -601,7 +628,8 @@ def _sieve_kernel(task):
     # with it, 2**14 windows at 2**33 and 2**40 ran 1.2-2.4x slower.
     reach = hi if hi <= _SIEVE_CUTOFF else 0
     kmax = max((k for spec in specs for k, bound in spec.bounds if bound < reach), default=1)
-    codes = _cofactor_codes(lo, hi, m, start, kmax)
+    ktop = max([kmax] + [len(spec.witnesses) - 1 for spec in specs]) if reach else 1
+    codes = _cofactor_codes(lo, hi, m, start, kmax, ktop)
     out = []
     for qs, ds, bounds, witnesses, confirm in specs:
         bounds = [(k, bound) for k, bound in bounds if bound < reach]

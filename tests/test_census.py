@@ -58,6 +58,13 @@ from gausspseudo.residues import GaussianBase
 Z12 = GaussianBase(1, 2)
 
 
+def sieved_ks(lo, hi, kmax, ktop):
+    """The k >= 2 whose quotients census._cofactor_codes sieves: those up to
+    kmax, and those from k0 = ceil(lo / (hi - lo)) up to ktop."""
+    k0 = -(-lo // (hi - lo))
+    return [k for k in range(2, ktop + 1) if k <= kmax or k >= k0]
+
+
 def naive_classifier_scan(lo, hi, which, residue_filter=None):
     """Single-threaded rescan straight from the predicate modules."""
     hits = []
@@ -444,19 +451,69 @@ class TestSievesAtHeight:
     @pytest.mark.parametrize("path", SIEVED_PATHS)
     @pytest.mark.parametrize("lo", [10**6, (1 << 32) + (1 << 20)])
     def test_large_prime_rule_off_above_2_32(self, monkeypatch, path, lo):
-        # one gate for every sieved path: the codes of n/k come with kmax > 1
-        # up to 2**32 and with kmax 1 above it
-        kmaxes = []
+        # one gate for every sieved path: the codes of n/k sieve some k >= 2
+        # up to 2**32 and none above it
+        sieved = []
         real = census._cofactor_codes
 
-        def recording(lo, hi, m, start, kmax):
-            kmaxes.append(kmax)
-            return real(lo, hi, m, start, kmax)
+        def recording(lo, hi, m, start, kmax, ktop):
+            sieved.append(sieved_ks(lo, hi, kmax, ktop))
+            return real(lo, hi, m, start, kmax, ktop)
 
         monkeypatch.setattr(census, "_cofactor_codes", recording)
         self.SIEVED_PATHS[path](RangeQuery(lo, lo + 2_000))
-        assert kmaxes
-        assert all((kmax == 1) == (lo > census._SIEVE_CUTOFF) for kmax in kmaxes), kmaxes
+        assert sieved
+        assert all((not ks) == (lo > census._SIEVE_CUTOFF) for ks in sieved), sieved
+
+
+class TestCofactorCodes:
+    """The codes of census._cofactor_codes against trial division, on blocks
+    where every k >= 2 has its own sieve (k0 = 1), where the shared sieve
+    starts at k0 = 16 above a gap of unsieved k, and at k0 = 128."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, residue_filter, kmax",
+        [
+            (2, 1 << 16, None, 17),
+            (10**6, 10**6 + (1 << 16), (4, 3), 7),
+            (1 << 23, (1 << 23) + (1 << 16), None, 17),
+        ],
+    )
+    def test_against_trial_division(self, monkeypatch, lo, hi, residue_filter, kmax):
+        ktop = 254
+        sieves = []
+        real = census._composite_flags
+        monkeypatch.setattr(
+            census, "_composite_flags", lambda a, b: sieves.append((a, b)) or real(a, b)
+        )
+        m, r = residue_filter or (1, 0)
+        start = lo + (r - lo) % m
+        codes = census._cofactor_codes(lo, hi, m, start, kmax, ktop)
+        ns = range(start, hi, m)
+        assert len(codes) == len(ns)
+        # the least sieved k with n/k prime, per n, by trial division
+        ks = sieved_ks(lo, hi, kmax, ktop)
+        least = {}
+        for k in reversed(ks):
+            for n in range(max(2 * k, -(-lo // k) * k), hi, k):
+                if n % m == r and trial_division_is_prime(n // k):
+                    least[n] = k
+        for n, code in zip(ns, codes):
+            assert (code == 0) == trial_division_is_prime(n), (n, code)
+            if code:
+                assert code == least.get(n, 1), (n, code)
+        # code 1 is no proof that no k makes n/k prime: the unsieved k between
+        # kmax and k0 may
+        k0 = -(-lo // (hi - lo))
+        gap = range(kmax + 1, k0)
+        assert not gap or any(
+            code == 1 and any(n % k == 0 and trial_division_is_prime(n // k) for k in gap)
+            for n, code in zip(ns, codes)
+        )
+        # one sieve for the block, one for every k >= k0, one per k < k0 up to kmax
+        assert sieves[0] == (lo, hi)
+        assert len(sieves) <= 2 + len([k for k in ks if k < k0])
+        assert all(b - a <= 2 * (hi - lo) + 2 for a, b in sieves[1:]), sieves
 
 
 class TestLargePrimeRules:
@@ -520,20 +577,21 @@ class TestLargePrimeRules:
 class TestDivisibilityRule:
     """The divisibility half of the large-prime rule: n = kP with P an odd
     prime that does not divide w(k) fails, for every witness table the
-    searches build at hi = 2**32 and every k up to the kernel's kmax there,
-    checked by a route that shares no code with the sieve."""
+    searches build at hi = 2**32 and every k up to 254 with a nonzero
+    witness, checked by a route that shares no code with the sieve."""
 
     HI = 1 << 32
 
     def built_specs(self, monkeypatch, search):
         """The _SieveSpecs that search hands to its blocks for a window below
-        HI, and the kmax of the kernel's codes there; no block runs."""
+        HI; no block runs."""
         params = []
         monkeypatch.setattr(census, "_run_blocks", lambda kernel, p, *args: params.append(p) or [])
         search(RangeQuery(self.HI - 1000, self.HI))
         (built,) = params
         specs = [spec for part in built for spec in part if isinstance(spec, census._SieveSpec)]
-        return specs, max(k for spec in specs for k, _ in spec.bounds)
+        assert specs and all(len(spec.witnesses) == 255 for spec in specs)
+        return specs
 
     @staticmethod
     def not_dividing(w, count=3):
@@ -547,34 +605,37 @@ class TestDivisibilityRule:
         return found
 
     def test_fermat(self, monkeypatch):
-        specs, kmax = self.built_specs(
+        specs = self.built_specs(
             monkeypatch, lambda query: joint_census(query, (Z12,), TABLE_INTEGER_BASES)
         )
         assert len(specs) == len(TABLE_INTEGER_BASES)
         checked = 0
         for a, spec in zip(TABLE_INTEGER_BASES, specs):
-            for k in range(2, kmax + 1):
+            for k in range(2, len(spec.witnesses)):
                 for p in self.not_dividing(spec.witnesses[k]):
                     n = k * p
                     assert pow(a, n - 1, n) != 1, (a, k, n)
                     checked += 1
-        assert checked > 2 * len(specs) * kmax  # 3 primes for nearly every (a, k)
+        assert checked > 2 * len(specs) * 253  # 3 primes for nearly every (a, k)
 
     @pytest.mark.parametrize("z", BASE_PANEL, ids=str)
     def test_gaussian(self, monkeypatch, z):
-        (spec,), kmax = self.built_specs(monkeypatch, lambda query: search_gfp(query, z))
-        for k in range(2, kmax + 1):
+        (spec,) = self.built_specs(monkeypatch, lambda query: search_gfp(query, z))
+        for k in range(2, len(spec.witnesses)):
             for p in self.not_dividing(spec.witnesses[k]):
                 assert gaussian_fermat_im_test(k * p, z) is not TestOutcome.PASS, (z, k, p)
 
     def test_confirm_sees_only_divisors(self, monkeypatch):
         # one (4, 3) block of the joint table: every n = kP that reaches a
         # base's confirm, with k its code and P odd, has P | a^(k-1) - 1
-        seen, kmaxes = [], []
+        seen, sieved = [], []
         real_codes, real_confirm = census._cofactor_codes, census._passes_fermat
-        monkeypatch.setattr(
-            census, "_cofactor_codes", lambda *args: kmaxes.append(args[-1]) or real_codes(*args)
-        )
+
+        def recording(lo, hi, m, start, kmax, ktop):
+            sieved.append(sieved_ks(lo, hi, kmax, ktop))
+            return real_codes(lo, hi, m, start, kmax, ktop)
+
+        monkeypatch.setattr(census, "_cofactor_codes", recording)
         monkeypatch.setattr(
             census, "_passes_fermat", lambda a, n: seen.append((a, n)) or real_confirm(a, n)
         )
@@ -582,15 +643,38 @@ class TestDivisibilityRule:
         joint_census(
             RangeQuery(lo, lo + (1 << 16), (4, 3)), (Z12,), TABLE_INTEGER_BASES, block_size=1 << 16
         )
-        (kmax,) = kmaxes
-        assert kmax > 2 and seen
+        (ks,) = sieved
+        assert max(ks) == 254 and seen
         for a, n in seen:
-            code = next(
-                (k for k in range(2, kmax + 1) if n % k == 0 and trial_division_is_prime(n // k)), 1
-            )
+            code = next((k for k in ks if n % k == 0 and trial_division_is_prime(n // k)), 1)
             p = n // code
             if code > 1 and p % 2:
                 assert (a ** (code - 1) - 1) % p == 0, (a, n, code)
+
+    def test_table_block_confirm_count(self, monkeypatch):
+        # the (4, 3) table block [2**20, 2**21): the rule to k = 254 leaves
+        # few confirms (53,590 with codes to k = 17 alone), and the same
+        # pseudoprimes as the sieve without the divisibility half
+        confirms, found = [], []
+        real_confirm, real_masks = census._passes_fermat, census._psp_mask_kernel
+
+        def recording(task):
+            found.extend(real_masks(task))
+            return found
+
+        monkeypatch.setattr(
+            census, "_passes_fermat", lambda a, n: confirms.append(n) or real_confirm(a, n)
+        )
+        monkeypatch.setattr(census, "_psp_mask_kernel", recording)
+        lo, hi = 1 << 20, 1 << 21
+        joint_census(RangeQuery(lo, hi, (4, 3)), (Z12,), TABLE_INTEGER_BASES, block_size=1 << 20)
+        assert len(confirms) <= 8_000
+        assert len(found) == 182
+        specs = [
+            census._fermat_spec(a, lo, hi, partial(real_confirm, a))._replace(witnesses=())
+            for a in TABLE_INTEGER_BASES
+        ]
+        assert found == real_masks((lo, hi, (4, 3), specs))
 
 
 class TestTopOfDomain:
