@@ -12,10 +12,11 @@ the primes up to min(sqrt(hi), 2**16); above 2**32, Miller-Rabin and
 factorize settle only the n those primes leave open.
 
 One kernel, _sieve_kernel, serves the joint table (per integer base a), the
-Gaussian pseudoprime search (base z), the Korselt classes g_carmichael and
-g_lehmer, and the base-2 pseudoprimes of carmichael and williams_1.  It
-sieves by a divisor that the exponent (F(n), or n-1 for the classical test)
-must have for every prime power q | n: the order of a or of z/conj(z) mod q
+Gaussian pseudoprime search (base z) and the factored classes, which
+_korselt_search builds on Korselt's criterion, with one Fermat test, to
+base 2 or 1+2i, before each factorization.  The kernel sieves by a divisor
+that the exponent (F(n), or n - 1 for the classical test) must have for
+every prime power q | n: the order of a or of z/conj(z) mod q
 (_unit_orders, by pow or the V-chain of fermat.ratio_power_is_one), or the
 group exponent or order of q.  Each test also has a witness w(k) for the
 n = kP with P prime: such an n with P odd passes only if P divides w(k) or
@@ -23,17 +24,14 @@ P <= |w(k)|.  The size half of that rule, _large_prime_bounds, clears every
 n = kP with P above |w(k)| for all three witnesses: Pinch's a^(k-1) - 1,
 Im(z^F(k)) and the Korselt k + 2.  The divisibility half clears, among the
 survivors, each n = kP with P odd and P not dividing w(k); it holds for the
-two Fermat tests, whose proofs give P | w(k), and not for the Korselt
-classes, whose proof gives only P <= k + 2.  Both halves read the block's
-cofactor codes, up to 2**32: the least k with n/k prime among the sieved
-k.  From k0 = ceil(lo / (hi - lo)) on, the quotient ranges [lo/k, hi/k) of
-consecutive k overlap, so one sieve of their union codes every k from k0
-to 254.  So the exact test, or the factorization and the class predicate,
-runs on a few percent of the composites only.  g_cyclic and
-congruence_exception are rules on (n, phi_G(n), lambda_G(n)), and giuga
-one on (n, phi_G(n), D(n)), which multiplicative sieves give without
-factoring n.  All kernels are pure; a cancelled run simply never returns a
-partial result.
+two Fermat tests, whose proofs give P | w(k), not for Korselt's P <= k + 2.
+Both halves read the block's cofactor codes, up to 2**32: the least k with
+n/k prime among the sieved k.  From k0 = ceil(lo / (hi - lo)) on, the
+quotient ranges [lo/k, hi/k) of consecutive k overlap, so one sieve of their
+union codes every k from k0 to 254.  g_cyclic and congruence_exception are
+rules on (n, phi_G(n), lambda_G(n)), and giuga one on (n, phi_G(n), D(n)),
+which multiplicative sieves give without factoring n.  All kernels are
+pure; a cancelled run simply never returns a partial result.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ from typing import NamedTuple
 from .arith import (
     MAX_ARG,
     check_domain,
+    classical_lambda_from_factors,
     factorize,
     gaussian_lambda_from_factors,
     gaussian_phi_from_factors,
@@ -511,9 +510,7 @@ def _large_prime_bounds(witnesses, hi: int) -> tuple:
     such that no n = kP > bound with P prime passes, where kP with P odd
     can pass only if P divides w = witnesses[k] (0 for k < 2) or P <= |w|.
     For w nonzero, bound = k * max(2, |w|) makes P odd and above |w|;
-    w = 0 gives no rule.  The Fermat tests, whose proofs give P | w, also
-    carry the witnesses to the kernel for the divisibility half; the
-    Korselt classes, with only P <= k + 2, have this half alone.
+    w = 0 gives no rule.  Korselt, with only P <= k + 2, has this half alone.
     """
     rules = []
     for k, w in enumerate(witnesses):
@@ -538,18 +535,17 @@ def _fermat_witness(a: int, kmax: int) -> tuple:
     return (0, 0, *(a ** (k - 1) - 1 for k in range(2, kmax + 1)))
 
 
-def _fermat_spec(a: int, lo: int, hi: int, confirm) -> _SieveSpec:
-    """The sieve spec of the n in [lo, hi) that pass base a and confirm: the
-    orders of a for n - 1, and both halves of the large-prime rule with the
-    witnesses of _fermat_witness.  Up to 2**32, where blocks carry codes,
-    they reach k = 254.  Above, they stop at the bit length of hi, as the
-    size half needs: a^(k-1) - 1 >= 2^(k-1) - 1, so no larger k gives a
-    bound below hi.  There a base near 2**63 adds about 15 KB to every
-    task, against 250 KB for a table to k = 254."""
+def _fermat_spec(a: int, lo: int, hi: int) -> _SieveSpec:
+    """The sieve spec of the n in [lo, hi) that pass base a, confirmed by
+    a^(n-1) = 1 (mod n): the orders of a for n - 1, and both halves of the
+    large-prime rule with the witnesses of _fermat_witness.  Up to 2**32,
+    where blocks carry codes, they reach k = 254.  Above, they stop at the
+    bit length of hi, as the size half needs: a^(k-1) - 1 >= 2^(k-1) - 1, so
+    no larger k gives a bound below hi.  There a base near 2**63 adds about
+    15 KB to every task, against 250 KB for a table to k = 254."""
     witnesses = _fermat_witness(a, 254 if hi <= _SIEVE_CUTOFF else hi.bit_length())
-    return _SieveSpec(
-        *_mask_orders(a, lo, hi), _large_prime_bounds(witnesses, hi), witnesses, confirm
-    )
+    bounds = _large_prime_bounds(witnesses, hi)
+    return _SieveSpec(*_mask_orders(a, lo, hi), bounds, witnesses, partial(_passes_fermat, a))
 
 
 def _passes_gfp(z: GaussianBase, n: int) -> bool:
@@ -596,12 +592,12 @@ def _korselt_orders(group_order, lo: int, hi: int):
     return qs, ds
 
 
-def _factored_confirm(predicate, n: int) -> bool:
-    return predicate(n, _factorize(n).factors)
+def _not_failing_gfp(z: GaussianBase, n: int) -> bool:
+    return gaussian_fermat_test(n, z) is not TestOutcome.FAIL
 
 
-def _base2_confirm(predicate, n: int) -> bool:
-    return _passes_fermat(2, n) and _factored_confirm(predicate, n)
+def _factored_confirm(prefilter, predicate, n: int) -> bool:
+    return prefilter(n) and predicate(n, _factorize(n).factors)
 
 
 def _sieve_kernel(task):
@@ -681,26 +677,25 @@ def _joint_kernel(task):
     return counts
 
 
-def _korselt_search(group_order, kmax: int, predicate, lo: int, hi: int):
-    """A Korselt class: the sieve by group_order(q) | F(n) at each prime power
-    q | n and the size half of the large-prime rule with the witness k + 2,
-    up to kmax; factored survivors are decided.  For n = kP with P > k + 2
-    prime, P exactly divides n; with e = (-1/P), P - e = lambda_G(P) =
-    phi_G(P) divides F(n) = n - c = k(P - e) + ke - c in either class, so
-    P - e divides ke - c, where 0 < |ke - c| <= k + 1 < P - e (k >= 2,
-    |c| <= 1).  That gives P <= k + 2, not P | k + 2: no divisibility half.
+def _korselt_search(classes, group_order, kmax: int, prefilter, predicate, lo: int, hi: int):
+    """A Korselt class on the classes (modulus, residue, c) of n - c: the
+    sieve by group_order(q) | n - c at each prime power q | n and the size
+    half of the large-prime rule with the witness k + 2, up to kmax; the
+    survivors that pass prefilter(n) are factored and decided by predicate.
+
+    Size half: for n = kP with P > k + 2 prime, the group order P - e of P
+    (e = 1 classical, (-1/P) Gaussian) divides n - c = k(P - e) + ke - c
+    (c = 1 classical, set by n mod 4 Gaussian), so P - e divides ke - c, and
+    0 < |ke - c| <= k + 1 < P - e.  That gives P <= k + 2, not P | k + 2: no
+    divisibility half.  Prefilter: Carmichael and 1-Williams numbers are odd
+    with lambda(n) | n - 1, so they pass base 2.  G-Carmichael and G-Lehmer
+    numbers (15, 20, 40, ...) have lambda_G(n) | F(n), so base 1+2i gives
+    PASS or, when 5 | n, INVALID_BASE: only FAIL rules n out.
     """
     bounds = _large_prime_bounds((0, 0, *range(4, kmax + 3)), hi)  # k + 2 at index k
-    confirm = partial(_factored_confirm, predicate)
+    confirm = partial(_factored_confirm, prefilter, predicate)
     spec = _SieveSpec(*_korselt_orders(group_order, lo, hi), bounds, (), confirm)
-    return _sieve_kernel, (_F_CLASSES, (spec,))
-
-
-def _base2_search(predicate, lo: int, hi: int):
-    """The sieve of the joint table's base-2 column; the base-2 pseudoprimes
-    it leaves are factored and decided by predicate(n, factors)."""
-    spec = _fermat_spec(2, lo, hi, partial(_base2_confirm, predicate))
-    return _sieve_kernel, (_N_CLASSES, (spec,))
+    return _sieve_kernel, (classes, (spec,))
 
 
 def _unsieved(kernel, *params):
@@ -715,29 +710,36 @@ class _ClassEntry(NamedTuple):
     blocked: bool = True  # else one task covers the whole query
 
 
-# Each kmax was the fastest on windows of 2**16 in [2**23, 2**24): larger ones
-# cost more in cofactor codes than they save in factorizations.  g_cyclic and
-# congruence_exception are rules on (n, phi_G(n), lambda_G(n)); their members
-# have gcd(phi_G(n), n) = 1 with phi_G(n) even.  Carmichael and 1-Williams
-# numbers are odd base-2 pseudoprimes: p - 1 | n - 1 for all p | n, one p odd.
-# No even n > 2 is G-Lehmer: v2(phi_G(n)) > v2(n) = v2(F(n)), as phi_G(2) = 2,
-# phi_G(2**k) = 2**(k+1) for k >= 2, and 4 | F(p) for every odd prime p.
+# kmax 128 (g_carmichael) and 24 (g_lehmer) were the fastest on 2**16 windows
+# in [2**23, 2**24) before the classical classes joined; larger ones cost more
+# in codes than they save.  carmichael and williams_1 take 24 as well: 128 ran
+# slower on 2**16 windows at 2**23, 8 on a 2**20 block there.  Odd members
+# only: Carmichael and 1-Williams numbers are odd; G-cyclic ones have
+# gcd(phi_G(n), n) = 1 with phi_G(n) even; for an even n > 2, v2(phi_G(n)) >
+# v2(n) = v2(F(n)), as phi_G(2**k) is 2 or 2**(k+1) and 4 | F(p) for odd p.
+_KMAX = 24
+_gfp_prefilter = partial(_not_failing_gfp, GaussianBase(1, 2))
+_classical_search = partial(
+    _korselt_search, _N_CLASSES, classical_lambda_from_factors, _KMAX, partial(_passes_fermat, 2)
+)
 _CLASS_SEARCHES = {
-    "g_carmichael": _ClassEntry(
-        partial(_korselt_search, gaussian_lambda_from_factors, 128, PREDICATES["g_carmichael"])
-    ),
-    "carmichael": _ClassEntry(partial(_base2_search, PREDICATES["carmichael"]), odd_only=True),
+    "g_carmichael": _ClassEntry(partial(
+        _korselt_search, _F_CLASSES, gaussian_lambda_from_factors, 128, _gfp_prefilter,
+        PREDICATES["g_carmichael"],
+    )),
+    "carmichael": _ClassEntry(partial(_classical_search, PREDICATES["carmichael"]), odd_only=True),
     "g_cyclic": _ClassEntry(
         _unsieved(_batch_kernel, _totient_batch, g_cyclic_from_orders), odd_only=True
     ),
-    "g_lehmer": _ClassEntry(
-        partial(_korselt_search, gaussian_phi_from_factors, 24, _g_lehmer_multi), odd_only=True
-    ),
+    "g_lehmer": _ClassEntry(partial(
+        _korselt_search, _F_CLASSES, gaussian_phi_from_factors, _KMAX, _gfp_prefilter,
+        _g_lehmer_multi,
+    ), odd_only=True),
     "congruence_exception": _ClassEntry(
         _unsieved(_batch_kernel, _totient_batch, _congruence_exception), odd_only=True
     ),
     "giuga": _ClassEntry(_unsieved(_batch_kernel, _giuga_batch, giuga_from_totient), capped=True),
-    "williams_1": _ClassEntry(partial(_base2_search, PREDICATES["williams_1"]), odd_only=True),
+    "williams_1": _ClassEntry(partial(_classical_search, PREDICATES["williams_1"]), odd_only=True),
     "twin_pair_product": _ClassEntry(_unsieved(_twin_kernel), blocked=False),
 }
 
@@ -748,11 +750,9 @@ def _odd_filter(residue_filter):
     """The residue filter of the odd n that pass residue_filter, or None
     when every n it passes is even."""
     m, r = residue_filter or (1, 0)
-    found = _class_in_progression(r, m, 1, 2)
-    if found is None:
-        return None
-    i, step = found
-    return m * step, (r + i * m) % (m * step)
+    if m % 2:  # one of r and r + m is odd
+        return 2 * m, r if r % 2 else r + m
+    return (m, r) if r % 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -805,19 +805,18 @@ def search_classifier(
     'twin_pair_product' family.  'congruence_exception' means G-cyclic
     numbers failing both power congruences.
 
-    'g_carmichael' and 'g_lehmer' are sieved as search_gfp is, by the
-    Korselt criterion: lambda_G(q), respectively phi_G(q), divides F(n) for
-    every prime power q | n, and by the large-prime rule with the witness
-    k + 2: n = kP with a prime P > k + 2 fails both.  About 3 percent
-    (g_carmichael) and 1.3 percent (g_lehmer) of a window of 2**16 near
-    10**7 survive to be factored and decided.  'carmichael' and 'williams_1'
-    are sieved as the joint table's base-2 column is, with the witness
-    2^(k-1) - 1, and factor and decide the base-2 Fermat pseudoprimes that
-    remain.  'g_cyclic' and 'congruence_exception' are decided from phi_G(n)
-    and lambda_G(n), and 'giuga' from phi_G(n) and D(n), the product of the
-    p^k || n with F(p) | F(n); multiplicative sieves give both pairs without
-    factoring n.  'g_lehmer', 'carmichael', 'williams_1', 'g_cyclic' and
-    'congruence_exception' search the odd n only.
+    The five factored searches, 'g_carmichael', 'g_lehmer', 'carmichael',
+    'williams_1' and carmichael_intersection_scan, are sieved by Korselt's
+    criterion: lambda_G(q), phi_G(q) or lambda(q) divides F(n), or n - 1
+    for the classical classes, at every prime power q | n, and n = kP with a
+    prime P > k + 2 fails.  A survivor is factored only if it passes base 2
+    (classical) or does not fail base 1+2i: near 10**7, the first three
+    factor 1.1, 0.5 and 0.002 percent of the n, of 2.8, 1.3 and 0.6 percent
+    that survive.  'g_cyclic' and 'congruence_exception' are decided from
+    phi_G(n) and lambda_G(n), and 'giuga' from phi_G(n) and D(n), the product
+    of the p^k || n with F(p) | F(n); multiplicative sieves give both pairs
+    without factoring n.  'g_lehmer', 'carmichael', 'williams_1', 'g_cyclic'
+    and 'congruence_exception' search the odd n only.
     Membership is decided by classify's PREDICATES, g_cyclic_from_orders
     and giuga_from_totient.
     """
@@ -865,9 +864,7 @@ def joint_census(
         check_domain(a, "integer base")
     counts = [[0] * len(integer_bases) for _ in gaussian_bases]
     if gaussian_bases and integer_bases:
-        specs = tuple(
-            _fermat_spec(a, query.lo, query.hi, partial(_passes_fermat, a)) for a in integer_bases
-        )
+        specs = tuple(_fermat_spec(a, query.lo, query.hi) for a in integer_bases)
         params = (specs, gaussian_bases)
         for part in _run_blocks(
             _joint_kernel, params, query, query.residue_filter, blocks, progress
@@ -892,14 +889,16 @@ def carmichael_intersection_scan(
 ) -> list[int]:
     """n = 3 mod 4 in range that are both Carmichael and G-Carmichael.
 
-    The residue filter is fixed to (4, 3); queries carrying any other
-    filter are rejected.  Raises ConsistencyError if the Williams-route
-    cross-check ever disagrees.
+    The search of 'carmichael' on the n = 3 mod 4: the classical Korselt
+    sieve, the base-2 prefilter, then the factored check.  The residue
+    filter is fixed to (4, 3); queries carrying any other filter are
+    rejected.  Raises ConsistencyError if the Williams-route cross-check
+    ever disagrees.
     """
     blocks = _block_starts(query, block_size)
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
-    kernel, params = _base2_search(carmichael_and_g_carmichael_3mod4, query.lo, query.hi)
+    kernel, params = _classical_search(carmichael_and_g_carmichael_3mod4, query.lo, query.hi)
     parts = _run_blocks(kernel, params, query, (4, 3), blocks, progress)
     return [n for (hits,) in parts for n in hits]
 

@@ -5,7 +5,7 @@ scans, trial division, naive ladders) and never calls into gausspseudo,
 so that agreement between the two is meaningful.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 
 def brute_group(n):
@@ -190,3 +190,48 @@ def twin_pair_products_below(hi):
             out.append(p * (p + 2))
         p += 2
     return out
+
+
+def two_power_norm_one_orders(k):
+    """(order, exponent) of the norm-one group mod 2**k, from the group
+    itself: the exponent is 2**j for the least j at which j squarings of
+    every element leave only 1."""
+    n = 1 << k
+    group = set(norm_one_group(n))
+    order, j = len(group), 0
+    while group != {(1 % n, 0)}:
+        group = {((a * a - b * b) % n, 2 * a * b % n) for a, b in group}
+        j += 1
+    return order, 1 << j
+
+
+def korselt_class_members(limit):
+    """The n below limit in each Korselt-type class, by name: composite n
+    with lambda_G(n) | F(n) (g_carmichael) or phi_G(n) | F(n) (g_lehmer);
+    odd square-free composite n with p - 1 | n - 1 for every p | n
+    (carmichael), and those with p + 1 | n + 1 too (williams_1).
+
+    For an odd prime p the norm-one group mod p**k is cyclic of order
+    p**(k-1) * (p - 1) for p = 1 (mod 4) and p**(k-1) * (p + 1) for
+    p = 3 (mod 4); for 2**k, order and exponent come from the group."""
+    spf = smallest_prime_factor_sieve(limit)
+    twos = {k: two_power_norm_one_orders(k) for k in range(1, limit.bit_length())}
+    found = {"g_carmichael": [], "g_lehmer": [], "carmichael": [], "williams_1": []}
+    for n in range(4, limit):
+        factors = factors_from_spf(n, spf)
+        if factors == ((n, 1),):
+            continue
+        orders = [
+            twos[k] if p == 2 else (p ** (k - 1) * (p - 1 if p % 4 == 1 else p + 1),) * 2
+            for p, k in factors
+        ]
+        F = naive_script_F(n)
+        if F % lcm(*(e for _, e in orders)) == 0:
+            found["g_carmichael"].append(n)
+        if F % prod(o for o, _ in orders) == 0:
+            found["g_lehmer"].append(n)
+        if n % 2 and all(k == 1 and (n - 1) % (p - 1) == 0 for p, k in factors):
+            found["carmichael"].append(n)
+            if all((n + 1) % (p + 1) == 0 for p, _ in factors):
+                found["williams_1"].append(n)
+    return found

@@ -11,6 +11,7 @@ from oracle_utils import (
     brute_psp_masks,
     composite_sieve,
     gpow,
+    korselt_class_members,
     naive_script_F,
     primes_below,
     trial_division_factorize,
@@ -44,7 +45,14 @@ from gausspseudo.classify import (
     lambda_power_congruence,
     phi_power_congruence,
 )
-from gausspseudo.arith import MAX_ARG, factorize, gaussian_lambda, gaussian_phi, is_prime
+from gausspseudo.arith import (
+    MAX_ARG,
+    classical_lambda,
+    factorize,
+    gaussian_lambda,
+    gaussian_phi,
+    is_prime,
+)
 from gausspseudo.fermat import (
     BASE_PANEL,
     TABLE_INTEGER_BASES,
@@ -277,9 +285,9 @@ def naive_class_hits():
 
 
 class TestClassSieve:
-    """The Korselt sieve of g_carmichael / g_lehmer, the totient sieve of
-    g_cyclic / congruence_exception, the base-2 mask sieve of carmichael /
-    williams_1 and the Giuga columns against the predicates."""
+    """The Korselt sieve of g_carmichael / g_lehmer / carmichael /
+    williams_1, the totient sieve of g_cyclic / congruence_exception and the
+    Giuga columns against the predicates."""
 
     @pytest.mark.parametrize("which", SIEVED_CLASSES)
     def test_blocks_from_2_against_naive(self, which, naive_class_hits):
@@ -301,7 +309,13 @@ class TestClassSieve:
         )
 
     @pytest.mark.parametrize(
-        "which, group", [("g_carmichael", gaussian_lambda), ("g_lehmer", gaussian_phi)]
+        "which, group",
+        [
+            ("g_carmichael", gaussian_lambda),
+            ("g_lehmer", gaussian_phi),
+            ("carmichael", classical_lambda),
+            ("williams_1", classical_lambda),
+        ],
     )
     @pytest.mark.parametrize(
         "lo, hi", [(2, 3_000), (10**6, 10**6 + 500), ((1 << 62) - 3, (1 << 62) + 3)]
@@ -320,13 +334,54 @@ class TestClassSieve:
         _, (_, (spec,)) = census._CLASS_SEARCHES[which].build(lo, hi)
         assert list(zip(spec.qs, spec.ds)) == expected
 
-    @pytest.mark.parametrize("which", ["g_carmichael", "g_lehmer"])
+    @pytest.mark.parametrize("which", ["g_carmichael", "g_lehmer", "carmichael", "williams_1"])
     def test_search_leaves_factorize_cache_alone(self, which):
         # survivors are factored uncached: a long-lived process must not
         # keep every survivor's factorization
         before = factorize.cache_info().currsize
         search_classifier(RangeQuery(10**7, 10**7 + 20_000), which)
         assert factorize.cache_info().currsize == before
+
+
+class TestKorseltPrefilter:
+    """The one Fermat test that each factored search runs before it factors
+    a survivor rejects no member of the class: base 2 passes every odd n
+    with lambda(n) | n - 1, and base 1+2i fails no n with lambda_G(n) | F(n),
+    but gives INVALID_BASE on the members divisible by 5, such as 15."""
+
+    LIMIT = 2 * 10**5
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        found = korselt_class_members(self.LIMIT)
+        # the scan's class lies in the Carmichael numbers = 3 mod 4
+        found["carmichael_intersection_scan"] = [n for n in found["carmichael"] if n % 4 == 3]
+        return found
+
+    def prefilter(self, monkeypatch, which):
+        if which == "carmichael_intersection_scan":
+            built = []
+            monkeypatch.setattr(
+                census, "_run_blocks", lambda kernel, params, *args: built.append(params) or []
+            )
+            carmichael_intersection_scan(RangeQuery(2, self.LIMIT))
+            ((_, (spec,)),) = built
+        else:
+            _, (_, (spec,)) = census._CLASS_SEARCHES[which].build(2, self.LIMIT)
+        prefilter, _ = spec.confirm.args
+        return prefilter
+
+    @pytest.mark.parametrize(
+        "which",
+        ["g_carmichael", "g_lehmer", "carmichael", "williams_1", "carmichael_intersection_scan"],
+    )
+    def test_accepts_every_member(self, monkeypatch, members, which):
+        prefilter = self.prefilter(monkeypatch, which)
+        assert members[which] or which == "williams_1"  # none below the limit
+        assert [n for n in members[which] if not prefilter(n)] == []
+        if which.startswith("g_"):
+            assert 15 in members[which]
+            assert sum(n % 5 == 0 for n in members[which]) >= 3
 
 
 # products of the two least primes above 2**16: no sieve prime divides them,
@@ -566,12 +621,20 @@ class TestLargePrimeRules:
             for n in self.beyond(k, bound):
                 assert gaussian_fermat_im_test(n, z) is not TestOutcome.PASS, (z, k, n)
 
-    @pytest.mark.parametrize("which", ["g_carmichael", "g_lehmer"])
+    KORSELT_ORACLES = {
+        "g_carmichael": lambda n: is_g_carmichael(n) or is_g_lehmer(n),
+        "g_lehmer": lambda n: is_g_carmichael(n) or is_g_lehmer(n),
+        "carmichael": is_carmichael,
+        "williams_1": lambda n: is_r_williams(n, 1),
+    }
+
+    @pytest.mark.parametrize("which", KORSELT_ORACLES)
     def test_korselt(self, monkeypatch, which):
         (rules,) = self.built_rules(monkeypatch, lambda query: search_classifier(query, which))
+        assert all(bound == k * (k + 2) for k, bound in rules)  # the witness k + 2
         for k, bound in rules:
             for n in self.beyond(k, bound):
-                assert not is_g_carmichael(n) and not is_g_lehmer(n), (which, k, n)
+                assert not self.KORSELT_ORACLES[which](n), (which, k, n)
 
 
 class TestDivisibilityRule:
@@ -671,7 +734,7 @@ class TestDivisibilityRule:
         assert len(confirms) <= 8_000
         assert len(found) == 182
         specs = [
-            census._fermat_spec(a, lo, hi, partial(real_confirm, a))._replace(witnesses=())
+            census._fermat_spec(a, lo, hi)._replace(witnesses=(), confirm=partial(real_confirm, a))
             for a in TABLE_INTEGER_BASES
         ]
         assert found == real_masks((lo, hi, (4, 3), specs))
@@ -901,7 +964,7 @@ class TestPspMaskKernel:
 
     @staticmethod
     def run_kernel(lo, hi, residue_filter, bases, block_size):
-        specs = [census._fermat_spec(a, lo, hi, partial(census._passes_fermat, a)) for a in bases]
+        specs = [census._fermat_spec(a, lo, hi) for a in bases]
         return [
             pair
             for blo in range(lo, hi, block_size)
@@ -1053,13 +1116,14 @@ class TestIntersectionScan:
         assert carmichael_intersection_scan(RangeQuery(2, 100, (4, 3))) == []
 
     def test_lying_williams_route_raises(self, monkeypatch):
-        # 4371 = 3 * 31 * 47 is a base-2 pseudoprime = 3 mod 4 whose primes
-        # are all 3 mod 4, so a Williams route that accepts every n disagrees
-        # with the direct route there
+        # 8911 = 7 * 19 * 67, the least Carmichael number = 3 mod 4, has all
+        # its primes = 3 mod 4 and is not G-Carmichael, so a Williams route
+        # that accepts every n disagrees with the direct route there; it is
+        # the first n that the sieve and the base-2 prefilter leave to the check
         classify = importlib.import_module("gausspseudo.classify")
         monkeypatch.setattr(classify, "_williams", lambda n, factors, r=1: True)
-        with pytest.raises(ConsistencyError, match="n=4371"):
-            carmichael_intersection_scan(RangeQuery(2, 5000, workers=1))
+        with pytest.raises(ConsistencyError, match="n=8911"):
+            carmichael_intersection_scan(RangeQuery(2, 10**4, workers=1))
 
 
 class TestVerifyExternalList:

@@ -1,9 +1,12 @@
 """Layout rules of the package source that no behaviour test would notice."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import gausspseudo
+
+census = importlib.import_module("gausspseudo.census")
 
 SOURCES = sorted(Path(gausspseudo.__file__).parent.glob("*.py"))
 
@@ -127,3 +130,47 @@ def test_factorize_only_for_what_the_sieves_leave():
         and any(isinstance(n, ast.Name) and n.id == "_factorize" for n in ast.walk(node))
     }
     assert found == {"_totient_batch", "_giuga_batch", "_factored_confirm"}
+
+
+FACTORED_CLASSES = ("g_carmichael", "g_lehmer", "carmichael", "williams_1")
+
+
+def test_one_korselt_path_per_factored_class(monkeypatch):
+    """Every class search that factors, and the 4k+3 intersection scan, is
+    one _SieveSpec of _korselt_search: no witness table, and the one
+    confirm that factors, _factored_confirm, behind a Fermat prefilter."""
+    builds = {name: entry.build(2, 1000) for name, entry in census._CLASS_SEARCHES.items()}
+    sieved = {name for name, (kernel, _) in builds.items() if kernel is census._sieve_kernel}
+    assert sieved == set(FACTORED_CLASSES)
+    built = [builds[name][1] for name in FACTORED_CLASSES]
+    monkeypatch.setattr(
+        census, "_run_blocks", lambda kernel, params, *args: built.append(params) or []
+    )
+    census.carmichael_intersection_scan(census.RangeQuery(2, 1000))
+    assert len(built) == len(FACTORED_CLASSES) + 1
+    for _, specs in built:
+        (spec,) = specs
+        assert isinstance(spec, census._SieveSpec)
+        assert spec.witnesses == ()
+        assert spec.confirm.func is census._factored_confirm
+
+
+def test_no_orphan_private_definition():
+    """Every module-level private function and class of the package is
+    named somewhere in the package besides its own definition."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    defined = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(hit for hit in defined if hit[1] not in named) == []
