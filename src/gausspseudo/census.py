@@ -3,11 +3,11 @@ joint (Gaussian base x integer base) pseudoprime table, and verification
 of externally published pseudoprime lists.
 
 A range query builds its block kernel and parameters once, in the parent:
-the order tables and large-prime bounds of a sieve, or the batch and rule
+the order tables and large-prime bounds of a sieve, or the columns and rule
 of an exact scan.  Fixed-size blocks go to worker processes, never more of
 them than the CPUs this process may run on; block results are merged in
 block order, so output is byte-identical for any worker count.  Inside a
-block, primality, factorizations and (phi_G, lambda_G) come from sieves by
+block, primality, factorizations, phi_G, lambda_G and D come from sieves by
 the primes up to min(sqrt(hi), 2**16); above 2**32, Miller-Rabin and
 factorize settle only the n those primes leave open.
 
@@ -28,10 +28,11 @@ two Fermat tests, whose proofs give P | w(k), not for Korselt's P <= k + 2.
 Both halves read the block's cofactor codes, up to 2**32: the least k with
 n/k prime among the sieved k.  From k0 = ceil(lo / (hi - lo)) on, the
 quotient ranges [lo/k, hi/k) of consecutive k overlap, so one sieve of their
-union codes every k from k0 to 254.  g_cyclic and congruence_exception are
-rules on (n, phi_G(n), lambda_G(n)), and giuga one on (n, phi_G(n), D(n)),
-which multiplicative sieves give without factoring n.  All kernels are
-pure; a cancelled run simply never returns a partial result.
+union codes every k from k0 to 254.  g_cyclic is a rule on (n, phi_G(n)),
+congruence_exception one on (n, phi_G(n), lambda_G(n)) and giuga one on
+(n, phi_G(n), D(n)); one multiplicative sieve gives the columns a rule
+reads, and only those, without factoring n.  All kernels are pure; a
+cancelled run simply never returns a partial result.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .classify import (
     DEFAULT_GIUGA_CAP,
     PREDICATES,
     carmichael_and_g_carmichael_3mod4,
-    g_cyclic_from_orders,
+    g_cyclic_from_phi,
     giuga_from_totient,
     power_congruence,
 )
@@ -207,79 +208,69 @@ def _run_blocks(kernel, params, query: RangeQuery, residue_filter, blocks: range
 
 
 # ---------------------------------------------------------------------------
-# Totient sieves for scans that decide every n
+# The multiplicative sieve for scans that decide every n
 # ---------------------------------------------------------------------------
 
-def _totient_batch(start: int, hi: int, m: int):
-    """Columns phi_G(n), lambda_G(n) for the odd n = start, start + m, ... < hi.
+def _multiplicative_batch(start: int, hi: int, m: int, columns):
+    """The named columns, in the order of columns, for n = start, start + m,
+    ... < hi: "phi" is phi_G(n), "lam" lambda_G(n) of the odd n, and "d" is
+    D(n), the product of the p**k || n with F(p) | F(n) (giuga_from_totient).
 
+    The 2-part t of n gives phi_G(t), and all of t to D, as F(2) | F(n) = n.
     A multiplicative sieve visits, for each prime power q = p**j with an
     odd prime p <= _sieve_bound(hi), the terms q divides: phi gains the
     factor F(p) = p - (-1/p) at j = 1 and p above, lambda becomes the lcm
-    with lambda_G(q) = p**(j-1) * F(p).  What is left of n is 1, a prime,
-    or, at or above the square of that bound (only above 2**32), a
-    cofactor that _factorize splits.
+    with lambda_G(q) = p**(j-1) * F(p).  As 4 | F(p) and q = +-1 (mod F(p)),
+    the multiples of q with F(p) | F(n) are the n = q * (c * q % F(p))
+    (mod q * F(p)), for the c of _F_CLASSES; there D gains p.  What is left
+    of n is 1, a prime, or, at or above the square of that bound (only above
+    2**32), a cofactor that _factorize splits.  lambda and D are sieved only
+    when named, and lambda is returned lazily.
     """
     bound = _sieve_bound(hi)
-    rem = list(range(start, hi, m))
-    phi, lam = [1] * len(rem), [1] * len(rem)
+    ns = range(start, hi, m)
+    if m % 2 == 0 and start % 2:  # odd n only: no 2-part
+        rem, phi = list(ns), [1] * len(ns)
+        d = [1] * len(ns) if "d" in columns else None
+    else:
+        twos = [n & -n for n in ns]
+        rem = [n // t for n, t in zip(ns, twos)]
+        phi = [t if t < 4 else 2 * t for t in twos]
+        d = twos if "d" in columns else None
+    lam = [1] * len(ns) if "lam" in columns else None
     for p in primes_up_to(bound)[1:]:
-        q = p
-        f = t = script_F(p)  # phi_G(q) / phi_G(q / p) and lambda_G(q), q = p**j
+        fp = script_F(p)
+        q, f, t = p, fp, fp  # phi_G(q) / phi_G(q / p) and lambda_G(q), q = p**j
         while q < hi and (found := _class_in_progression(start, m, 0, q)):
             i, step = found
             rem[i::step] = [v // p for v in rem[i::step]]
             phi[i::step] = [x * f for x in phi[i::step]]
-            lam[i::step] = [lcm(x, t) for x in lam[i::step]]
+            if lam is not None:
+                lam[i::step] = [lcm(x, t) for x in lam[i::step]]
+            if d is not None:
+                for _, _, c in _F_CLASSES:
+                    if found := _class_in_progression(start, m, q * (c * q % fp), q * fp):
+                        i, step = found
+                        d[i::step] = [x * p for x in d[i::step]]
             q, f, t = q * p, p, t * p
     square = bound * bound
     if square < hi:  # else no leftover can reach the square; the scan costs 5% at 2**23
         for idx, v in enumerate(rem):
-            if v >= square:  # phi_G(p**k) = lambda_G(p**k) = p**(k-1) * F(p), p odd
-                ts = [p ** (k - 1) * script_F(p) for p, k in _factorize(v).factors]
-                phi[idx], lam[idx], rem[idx] = phi[idx] * prod(ts), lcm(lam[idx], *ts), 1
-    last = [r + 1 if r % 4 == 3 else r - 1 or 1 for r in rem]  # F(r), or 1 for r = 1
-    return [x * y for x, y in zip(phi, last)], map(lcm, lam, last)
-
-
-def _giuga_batch(start: int, hi: int, m: int):
-    """Columns phi_G(n), D(n) for n = start, start + m, ... < hi, where D(n)
-    is the product of the p**k || n with F(p) | F(n) (giuga_from_totient).
-
-    The 2-part t of n gives phi_G(t), and all of t to D, as F(2) | F(n) = n.
-    The sieve of _totient_batch by the odd p gives the rest of phi.  As
-    4 | F(p) and q = p**j = +-1 (mod F(p)), the multiples of q with
-    F(p) | F(n) are the n = q * (c * q % F(p)) (mod q * F(p)), for the c of
-    _F_CLASSES; there D gains p.  What is left of n is treated as there.
-    """
-    bound = _sieve_bound(hi)
-    ns = range(start, hi, m)
-    d = [n & -n for n in ns]
-    rem = [n // t for n, t in zip(ns, d)]
-    phi = [t if t < 4 else 2 * t for t in d]
-    for p in primes_up_to(bound)[1:]:
-        fp = script_F(p)
-        q, f = p, fp
-        while q < hi and (found := _class_in_progression(start, m, 0, q)):
-            i, step = found
-            rem[i::step] = [v // p for v in rem[i::step]]
-            phi[i::step] = [x * f for x in phi[i::step]]
-            for _, _, c in _F_CLASSES:
-                if found := _class_in_progression(start, m, q * (c * q % fp), q * fp):
-                    i, step = found
-                    d[i::step] = [x * p for x in d[i::step]]
-            q, f = q * p, p
-    square = bound * bound
-    if square < hi:
-        for idx, v in enumerate(rem):
-            if v >= square:  # F(r) | F(n) iff n = 0, 1 or -1 (mod F(r)), as for p
+            if v >= square:  # phi_G(r**k) = lambda_G(r**k) = r**(k-1) * F(r), r odd
                 factors = _factorize(v).factors
-                phi[idx] *= gaussian_phi_from_factors(factors)
-                d[idx] *= prod(r**k for r, k in factors if (ns[idx] + 1) % script_F(r) < 3)
-                rem[idx] = 1
+                ts = [r ** (k - 1) * script_F(r) for r, k in factors]
+                phi[idx], rem[idx] = phi[idx] * prod(ts), 1
+                if lam is not None:
+                    lam[idx] = lcm(lam[idx], *ts)
+                if d is not None:  # F(r) | F(n) iff n = 0, 1 or -1 (mod F(r)), as for p
+                    d[idx] *= prod(r**k for r, k in factors if (ns[idx] + 1) % script_F(r) < 3)
     last = [r + 1 if r % 4 == 3 else r - 1 or 1 for r in rem]  # F(r), or 1 for r = 1
-    d = [x * r if (n + 1) % f < 3 else x for x, r, n, f in zip(d, rem, ns, last)]
-    return [x * y for x, y in zip(phi, last)], d
+    built = {
+        "phi": lambda: [x * y for x, y in zip(phi, last)],
+        "lam": lambda: map(lcm, lam, last),  # lazy: a list of it raised peak RSS
+        "d": lambda: [x * r if (n + 1) % f < 3 else x for x, r, n, f in zip(d, rem, ns, last)],
+    }
+    return [built[name]() for name in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +391,22 @@ def _g_lehmer_multi(n: int, factors) -> bool:
 
 def _congruence_exception(n: int, phi: int, lam: int) -> bool:
     # G-cyclic, and neither power congruence holds
-    return g_cyclic_from_orders(n, phi, lam) and not (
+    return g_cyclic_from_phi(n, phi) and not (
         power_congruence(phi, n) or power_congruence(lam, n)
     )
 
 
 def _batch_kernel(task):
-    """Exact scan that decides every n of the searched progression: batch
-    gives one column per argument of rule after n (_totient_batch for the
-    rules on phi_G and lambda_G, _giuga_batch for giuga_from_totient).
-    Returns [hits], as _sieve_kernel does for one spec."""
-    lo, hi, residue_filter, batch, rule = task
+    """Exact scan that decides every n of the searched progression:
+    _multiplicative_batch gives the named columns, one per argument of rule
+    after n.  Returns [hits], as _sieve_kernel does for one spec."""
+    lo, hi, residue_filter, columns, rule = task
     m, r = residue_filter or (1, 0)
     hits = []
     for blo in range(lo, hi, _BATCH_SPAN):
         bhi = min(blo + _BATCH_SPAN, hi)
         ns = range(blo + (r - blo) % m, bhi, m)
-        hits += compress(ns, map(rule, ns, *batch(ns.start, bhi, m)))
+        hits += compress(ns, map(rule, ns, *_multiplicative_batch(ns.start, bhi, m, columns)))
     return [hits]
 
 
@@ -728,17 +718,15 @@ _CLASS_SEARCHES = {
         PREDICATES["g_carmichael"],
     )),
     "carmichael": _ClassEntry(partial(_classical_search, PREDICATES["carmichael"]), odd_only=True),
-    "g_cyclic": _ClassEntry(
-        _unsieved(_batch_kernel, _totient_batch, g_cyclic_from_orders), odd_only=True
-    ),
+    "g_cyclic": _ClassEntry(_unsieved(_batch_kernel, ("phi",), g_cyclic_from_phi), odd_only=True),
     "g_lehmer": _ClassEntry(partial(
         _korselt_search, _F_CLASSES, gaussian_phi_from_factors, _KMAX, _gfp_prefilter,
         _g_lehmer_multi,
     ), odd_only=True),
     "congruence_exception": _ClassEntry(
-        _unsieved(_batch_kernel, _totient_batch, _congruence_exception), odd_only=True
+        _unsieved(_batch_kernel, ("phi", "lam"), _congruence_exception), odd_only=True
     ),
-    "giuga": _ClassEntry(_unsieved(_batch_kernel, _giuga_batch, giuga_from_totient), capped=True),
+    "giuga": _ClassEntry(_unsieved(_batch_kernel, ("phi", "d"), giuga_from_totient), capped=True),
     "williams_1": _ClassEntry(partial(_classical_search, PREDICATES["williams_1"]), odd_only=True),
     "twin_pair_product": _ClassEntry(_unsieved(_twin_kernel), blocked=False),
 }
@@ -812,12 +800,13 @@ def search_classifier(
     prime P > k + 2 fails.  A survivor is factored only if it passes base 2
     (classical) or does not fail base 1+2i: near 10**7, the first three
     factor 1.1, 0.5 and 0.002 percent of the n, of 2.8, 1.3 and 0.6 percent
-    that survive.  'g_cyclic' and 'congruence_exception' are decided from
-    phi_G(n) and lambda_G(n), and 'giuga' from phi_G(n) and D(n), the product
-    of the p^k || n with F(p) | F(n); multiplicative sieves give both pairs
-    without factoring n.  'g_lehmer', 'carmichael', 'williams_1', 'g_cyclic'
-    and 'congruence_exception' search the odd n only.
-    Membership is decided by classify's PREDICATES, g_cyclic_from_orders
+    that survive.  'g_cyclic' is decided from phi_G(n) alone,
+    'congruence_exception' from phi_G(n) and lambda_G(n), and 'giuga' from
+    phi_G(n) and D(n), the product of the p^k || n with F(p) | F(n); one
+    multiplicative sieve gives the columns each reads without factoring n.
+    'g_lehmer', 'carmichael', 'williams_1', 'g_cyclic' and
+    'congruence_exception' search the odd n only.
+    Membership is decided by classify's PREDICATES, g_cyclic_from_phi
     and giuga_from_totient.
     """
     blocks = _block_starts(query, block_size)

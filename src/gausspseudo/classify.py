@@ -8,8 +8,8 @@ numbers, and an aggregate report.
 Each class is defined once, as predicate(n, factors) in PREDICATES, which
 the is_* functions, classify() and the census searches all evaluate; the
 witness routes of g_carmichael and carmichael are cross-checked against it.
-The census applies g_cyclic_from_orders and giuga_from_totient, which the
-G-cyclic entry and giuga_from_factors call.
+The census applies g_cyclic_from_phi, which reads phi_G(n) alone, and
+giuga_from_totient; the G-cyclic entry and giuga_from_factors call them.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def _carmichael(n: int, factors) -> bool:
     return all(k == 1 for _, k in factors) and all((n - 1) % (p - 1) == 0 for p, _ in factors)
 
 
-def g_cyclic_from_orders(n: int, phi: int, lam: int) -> bool:
-    """G-cyclic from n, phi_G(n) and lambda_G(n), which a sieve can give."""
+def g_cyclic_from_phi(n: int, phi: int) -> bool:
+    """G-cyclic from n and phi_G(n), which a sieve can give."""
     return gcd(phi, n) == 1
 
 
@@ -64,8 +64,7 @@ def giuga_from_totient(n: int, phi: int, d: int) -> bool:
 
 
 def _g_cyclic(n: int, factors) -> bool:
-    phi, lam = gaussian_phi_from_factors(factors), gaussian_lambda_from_factors(factors)
-    return g_cyclic_from_orders(n, phi, lam)
+    return g_cyclic_from_phi(n, gaussian_phi_from_factors(factors))
 
 
 def _cyclic(n: int, factors) -> bool:

@@ -3,6 +3,7 @@ import logging
 import os
 import tracemalloc
 from functools import partial
+from itertools import compress
 from math import gcd, isqrt, prod
 from operator import itemgetter
 
@@ -389,26 +390,54 @@ class TestKorseltPrefilter:
 SPLIT_TAILS = (65537 * 65537, 65537 * 65539)
 
 
-class TestTotientBatch:
-    """(phi_G, lambda_G) of the totient sieve against the arith functions.
-    Searches cannot check lambda_G at p**j, j > 1: no odd n with a square
-    factor is G-cyclic."""
+def giuga_d(n):
+    """D(n): the product of the p**k || n with F(p) | F(n)."""
+    fn = naive_script_F(n)
+    return prod(p**k for p, k in trial_division_factorize(n) if fn % naive_script_F(p) == 0)
+
+
+# what each column of census._multiplicative_batch holds
+BATCH_ORACLES = {"phi": gaussian_phi, "lam": gaussian_lambda, "d": giuga_d}
+# the column tuples that the class searches ask of it
+BATCH_COLUMNS = sorted({
+    params[0]
+    for kernel, params in (entry.build(2, 1000) for entry in census._CLASS_SEARCHES.values())
+    if kernel is census._batch_kernel
+})
+
+
+@pytest.mark.parametrize("columns", BATCH_COLUMNS, ids="-".join)
+class TestMultiplicativeBatch:
+    """Each column tuple of the one multiplicative batch against the arith
+    functions and D from trial division.  lambda_G is a column of the odd n
+    only, and searches cannot check it at p**j, j > 1: no odd n with a
+    square factor is G-cyclic."""
 
     @staticmethod
-    def assert_batch(start, hi, m):
-        expected = [(gaussian_phi(n), gaussian_lambda(n)) for n in range(start, hi, m)]
-        assert list(zip(*census._totient_batch(start, hi, m))) == expected, (start, hi, m)
+    def assert_batch(columns, start, hi, m):
+        ns = range(start, hi, m)
+        got = census._multiplicative_batch(start, hi, m, columns)
+        assert len(got) == len(columns)
+        for name, column in zip(columns, got):
+            odd = [n % 2 == 1 or name != "lam" for n in ns]
+            expected = [BATCH_ORACLES[name](n) for n in compress(ns, odd)]
+            assert list(compress(column, odd)) == expected, (name, start, hi, m)
 
     @pytest.mark.parametrize("residue_filter", CLASS_FILTERS)
-    def test_odd_progressions_from_3(self, residue_filter):
+    def test_odd_progressions_from_3(self, columns, residue_filter):
         odd = census._odd_filter(residue_filter)
         if odd is None:
             assert residue_filter == (2, 0)
             return
         m, r = odd
-        self.assert_batch(3 + (r - 3) % m, SIEVE_LIMIT, m)
+        self.assert_batch(columns, 3 + (r - 3) % m, SIEVE_LIMIT, m)
 
-    def test_window_near_2_23_with_square_factors(self):
+    @pytest.mark.parametrize("start, hi, m", [(2, 5_000, 1), (3, 5_000, 4)])
+    def test_progressions_with_even_terms(self, columns, start, hi, m):
+        # phi_G and D of the even n as well
+        self.assert_batch(columns, start, hi, m)
+
+    def test_window_near_2_23_with_square_factors(self, columns):
         lo = (1 << 23) + 3 * (1 << 19) + 77
         hi = lo + (1 << 12)
         shapes = set()
@@ -418,7 +447,7 @@ class TestTotientBatch:
                 shapes.add((p == 3, k))
         # p**2 * R with p >= 5 and 3**k * R with k = 2, 3, 4, R a prime cofactor
         assert {(False, 2), (True, 2), (True, 3), (True, 4)} <= shapes
-        self.assert_batch(lo, hi, 2)
+        self.assert_batch(columns, lo, hi, 2)
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -427,12 +456,30 @@ class TestTotientBatch:
             (census._SIEVE_CUTOFF - 601, census._SIEVE_CUTOFF + 601),
         ],
     )
-    def test_windows_at_2_32(self, lo, hi):
-        self.assert_batch(lo, hi, 2)
+    def test_windows_at_2_32(self, columns, lo, hi):
+        self.assert_batch(columns, lo, hi, 2)
 
     @pytest.mark.parametrize("center", SPLIT_TAILS)
-    def test_window_with_a_factorize_tail(self, center):
-        self.assert_batch(center - 200, center + 200, 2)
+    @pytest.mark.parametrize("m, width", [(2, 200), (6, 600)])
+    def test_window_with_a_factorize_tail(self, columns, center, m, width):
+        self.assert_batch(columns, center - width, center + width, m)
+
+    @pytest.mark.parametrize("start, hi, m", [(3, 3, 2), (9, 5, 2), (2, 2, 1), (7, 3, 6)])
+    def test_empty_progression(self, columns, start, hi, m):
+        got = census._multiplicative_batch(start, hi, m, columns)
+        assert [list(column) for column in got] == [[] for _ in columns]
+
+
+@pytest.mark.parametrize("which", ["g_cyclic", "giuga"])
+def test_searches_without_lambda_call_no_lcm(monkeypatch, naive_class_hits, which):
+    # lambda_G is sieved only for the rule that reads it
+    def refuse(*args):
+        raise AssertionError(f"lcm{args}")
+
+    monkeypatch.setattr(census, "lcm", refuse)
+    got = uncapped_search(RangeQuery(2, SIEVE_LIMIT), which)
+    assert got == naive_class_hits[which]
+    assert got
 
 
 class TestSievesAtHeight:
@@ -466,20 +513,6 @@ class TestSievesAtHeight:
         assert got == naive_classifier_scan(lo, hi, "giuga", residue_filter)
 
     @pytest.mark.parametrize(
-        "start, hi, m",
-        [(2, 5_000, 1), (3, 5_000, 4), *((c - 600, c + 600, 6) for c in SPLIT_TAILS)],
-    )
-    def test_giuga_batch_against_closed_forms(self, start, hi, m):
-        # phi_G of the even n as well, which no totient column covers, and D(n)
-        expected = []
-        for n in range(start, hi, m):
-            factors = trial_division_factorize(n)
-            fn = naive_script_F(n)
-            d = prod(p**k for p, k in factors if fn % naive_script_F(p) == 0)
-            expected.append((gaussian_phi(n), d))
-        assert list(zip(*census._giuga_batch(start, hi, m))) == expected
-
-    @pytest.mark.parametrize(
         "lo, hi", [((1 << 31) + 12345, (1 << 31) + 12345 + (1 << 16)), (10**6, 10**6 + 500)]
     )
     def test_no_per_n_work_below_2_32(self, monkeypatch, lo, hi):
@@ -491,8 +524,9 @@ class TestSievesAtHeight:
         monkeypatch.setattr(census, "is_prime", refuse)
         monkeypatch.setattr(census, "_factorize", refuse)
         census._composite_flags(lo, hi)
-        census._giuga_batch(lo, hi, 1)
-        census._totient_batch(lo + 1 - lo % 2, hi, 2)
+        for columns in BATCH_COLUMNS:
+            census._multiplicative_batch(lo, hi, 1, columns)
+            census._multiplicative_batch(lo + 1 - lo % 2, hi, 2, columns)
 
     SIEVED_PATHS = {
         **{

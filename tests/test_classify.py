@@ -313,18 +313,22 @@ class TestPredicateTable:
 
     def test_every_entry_against_oracle_to_2000(self):
         # the census searches' own rules: g_lehmer confirms a survivor n by
-        # factoring it, the other two decide from (phi_G, lambda_G): feed the oracle's
+        # factoring it, the other two decide from the columns they name of
+        # (phi_G, lambda_G): feed them the oracle's
         _, (_, ((*_, lehmer_confirm),)) = _CLASS_SEARCHES["g_lehmer"].build(2, 2000)
         rules = {**PREDICATES, "g_lehmer_multi": lambda n, factors: lehmer_confirm(n)}
         order_rules = {
-            name: _CLASS_SEARCHES[name].build(2, 2000)[1][1]  # (kernel, (batch, rule))
+            name: _CLASS_SEARCHES[name].build(2, 2000)[1]  # (kernel, (columns, rule))
             for name in ("g_cyclic", "congruence_exception")
         }
         for n in range(2, 2000):
             want = _oracle_flags(n)
             factors = factorize(n).factors
             got = {name: rule(n, factors) for name, rule in rules.items()}
-            phi_g, lam_g = _oracle_orders(n)[:2]
-            got_orders = {name: rule(n, phi_g, lam_g) for name, rule in order_rules.items()}
+            orders = dict(zip(("phi", "lam"), _oracle_orders(n)))
+            got_orders = {
+                name: rule(n, *(orders[column] for column in columns))
+                for name, (columns, rule) in order_rules.items()
+            }
             assert got == {name: want[name] for name in rules}, n
             assert got_orders == {name: want[name] for name in order_rules}, n

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import gausspseudo
@@ -119,8 +120,8 @@ def test_one_cache():
 
 
 def test_factorize_only_for_what_the_sieves_leave():
-    """The census functions that name _factorize are the two column sieves,
-    for the cofactors their primes leave above 2**32, and the confirm of the
+    """The census functions that name _factorize are the column sieve, for
+    the cofactors its primes leave above 2**32, and the confirm of the
     survivors of a sieve: no exact scan factors every n of its range."""
     source = next(path for path in SOURCES if path.name == "census.py")
     found = {
@@ -129,7 +130,24 @@ def test_factorize_only_for_what_the_sieves_leave():
         if isinstance(node, ast.FunctionDef)
         and any(isinstance(n, ast.Name) and n.id == "_factorize" for n in ast.walk(node))
     }
-    assert found == {"_totient_batch", "_giuga_batch", "_factored_confirm"}
+    assert found == {"_multiplicative_batch", "_factored_confirm"}
+
+
+def test_batch_entries_name_the_columns_their_rules_read():
+    """Every exact scan asks _multiplicative_batch for one column per
+    argument of its rule after n, and only for columns the batch has;
+    lambda_G is a column of the odd n only."""
+    batch_entries = {
+        name: (entry, params)
+        for name, entry in census._CLASS_SEARCHES.items()
+        for kernel, params in [entry.build(2, 1000)]
+        if kernel is census._batch_kernel
+    }
+    assert set(batch_entries) == {"g_cyclic", "congruence_exception", "giuga"}
+    for name, (entry, (columns, rule)) in batch_entries.items():
+        assert set(columns) <= {"phi", "lam", "d"}, name
+        assert len(columns) == len(inspect.signature(rule).parameters) - 1, name
+        assert "lam" not in columns or entry.odd_only, name
 
 
 FACTORED_CLASSES = ("g_carmichael", "g_lehmer", "carmichael", "williams_1")
