@@ -13,26 +13,30 @@ factorize settle only the n those primes leave open.
 
 One kernel, _sieve_kernel, serves the joint table (per integer base a), the
 Gaussian pseudoprime search (base z) and the factored classes, which
-_korselt_search builds on Korselt's criterion, with one Fermat test, to
-base 2 or 1+2i, before each factorization.  The kernel sieves by a divisor
-that the exponent (F(n), or n - 1 for the classical test) must have for
-every prime power q | n: the order of a or of z/conj(z) mod q
-(_unit_orders, by pow or the V-chain of fermat.ratio_power_is_one), or the
-group exponent or order of q.  Each test also has a witness w(k) for the
-n = kP with P prime: such an n with P odd passes only if P divides w(k) or
-P <= |w(k)|.  The size half of that rule, _large_prime_bounds, clears every
-n = kP with P above |w(k)| for all three witnesses: Pinch's a^(k-1) - 1,
-Im(z^F(k)) and the Korselt k + 2.  The divisibility half clears, among the
-survivors, each n = kP with P odd and P not dividing w(k); it holds for the
-two Fermat tests, whose proofs give P | w(k), not for Korselt's P <= k + 2.
-Both halves read the block's cofactor codes, up to 2**32: the least k with
-n/k prime among the sieved k.  From k0 = ceil(lo / (hi - lo)) on, the
-quotient ranges [lo/k, hi/k) of consecutive k overlap, so one sieve of their
-union codes every k from k0 to 254.  g_cyclic is a rule on (n, phi_G(n)),
-congruence_exception one on (n, phi_G(n), lambda_G(n)) and giuga one on
-(n, phi_G(n), D(n)); one multiplicative sieve gives the columns a rule
-reads, and only those, without factoring n.  All kernels are pure; a
-cancelled run simply never returns a partial result.
+_korselt_search builds on Korselt's criterion, with one Fermat test, to base
+2, or to 1+2i modulo the part of n prime to 10, before each factorization.
+The kernel sieves by a divisor that the exponent (F(n), or n - 1 for the
+classical test) must have for every prime power q | n: the order of a or of
+z/conj(z) mod q (_unit_orders, by pow or the V-chain of
+fermat.ratio_power_is_one), or the group exponent or order of q.  Each test
+also has a witness w(k) for the n = kP with P prime: such an n with P odd
+passes only if P divides w(k) or P <= |w(k)|.  The size half of that rule,
+_large_prime_bounds, clears every n = kP with P above |w(k)| for all three
+witnesses: Pinch's a^(k-1) - 1, Im(z^F(k)) and the Korselt k + 2.  It takes
+one pass over each progression: the segment between two consecutive sorted
+bounds is translated once, by a table that clears every k whose bound lies
+below it.  The divisibility half clears, among the survivors, each n = kP
+with P odd and P not dividing w(k), read from a witness table padded with
+zeros to all 256 codes; it holds for the two Fermat tests, whose proofs give
+P | w(k), not for Korselt's P <= k + 2.  Both halves read the block's
+cofactor codes, up to 2**32: the least k with n/k prime among the sieved k.
+From k0 = ceil(lo / (hi - lo)) on, the quotient ranges [lo/k, hi/k) of
+consecutive k overlap, so one sieve of their union codes every k from k0 to
+254.  g_cyclic is a rule on (n, phi_G(n)), congruence_exception one on (n,
+phi_G(n), lambda_G(n)) and giuga one on (n, phi_G(n), D(n)); one
+multiplicative sieve gives the columns a rule reads, and only those, without
+factoring n.  All kernels are pure; a cancelled run simply never returns a
+partial result.
 """
 
 from __future__ import annotations
@@ -345,18 +349,21 @@ def _sieve_progression(flags: bytearray, start: int, m: int, bounds, qs, ds, c: 
     flags holds the codes of _cofactor_codes.  Two rules clear:
 
     * large prime, its size half: for each (k, bound) in bounds, every
-      n > bound coded k;
+      n > bound coded k, in one pass: each segment between two sorted cuts
+      (the first n > bound) is translated once, clearing the k of every
+      cut up to it;
     * order sieve: for each prime power q with its d in (qs, ds), a
       multiple of q can pass only if n = 0 (mod q) and n = c (mod d); d = 0
       means no multiple of q passes.  One slice saves the class that may
       pass, one clears all multiples of q, one restores the class.
     """
-    for k, bound in bounds:
-        i = max(0, (bound - start) // m + 1)
-        kill = bytearray(range(256))
-        kill[k] = 0
-        flags[i:] = flags[i:].translate(kill)
     size = len(flags)
+    cuts = sorted((max(0, (bound - start) // m + 1), k) for k, bound in bounds)
+    kill = bytearray(range(256))  # byte k -> 0 for every k cut so far
+    for (i, k), (end, _) in zip(cuts, cuts[1:] + [(size, 0)]):
+        kill[k] = 0
+        if i < end:
+            flags[i:end] = flags[i:end].translate(kill)
     for q, d in zip(qs, ds):
         multiples = _class_in_progression(start, m, 0, q)
         if multiples is None:
@@ -583,7 +590,14 @@ def _korselt_orders(group_order, lo: int, hi: int):
 
 
 def _not_failing_gfp(z: GaussianBase, n: int) -> bool:
-    return gaussian_fermat_test(n, z) is not TestOutcome.FAIL
+    """(z/conj(z))^F(n) = 1 modulo m, the part of n prime to 2*z*conj(z); true
+    for m = 1.  The power is 1 modulo the 2-part of n (gaussian_fermat_test),
+    and a member n of a class with lambda_G(n) | F(n) passes, as lambda_G(m)
+    divides lambda_G(n): an n that the test calls INVALID_BASE is tested too."""
+    m, norm = n >> ((n & -n).bit_length() - 1), z.norm()
+    while (g := gcd(m, norm)) > 1:
+        m //= g
+    return m == 1 or ratio_power_is_one(z, script_F(n), m)
 
 
 def _factored_confirm(prefilter, predicate, n: int) -> bool:
@@ -604,7 +618,8 @@ def _sieve_kernel(task):
     cofactor codes serve every spec: they sieve every k up to the largest
     k of the specs' bounds, and from k0 on up to the longest witness table
     (so a Korselt spec, with none, adds no k), with none above 2**32.  The
-    survivors are found by scanning their nonzero bytes.
+    survivors are found by scanning their nonzero bytes, with the witnesses
+    padded with zeros to one per code.
     """
     lo, hi, residue_filter, classes, specs = task
     m, r = residue_filter or (1, 0)
@@ -620,6 +635,7 @@ def _sieve_kernel(task):
     for qs, ds, bounds, witnesses, confirm in specs:
         bounds = [(k, bound) for k, bound in bounds if bound < reach]
         hits = []
+        witnesses += (0,) * (256 - len(witnesses))  # a witness for every code
         for modulus, residue, c in classes:
             found = _class_in_progression(start, m, residue, modulus)
             if found is None:
@@ -628,14 +644,14 @@ def _sieve_kernel(task):
             first, stride = start + i * m, m * step
             flags = codes[i::step]
             _sieve_progression(flags, first, stride, bounds, qs, ds, c)
-            cleared = flags.translate(_NOT)
-            j = cleared.find(0)
+            find = flags.translate(_NOT).find
+            j = find(0)
             while j >= 0:
                 n, k = first + j * stride, flags[j]
-                w = witnesses[k] if k < len(witnesses) else 0
-                if not (w and (n // k) & 1 and w % (n // k)) and confirm(n):
+                w = witnesses[k]
+                if not (w and (p := n // k) & 1 and w % p) and confirm(n):
                     hits.append(n)
-                j = cleared.find(0, j + 1)
+                j = find(0, j + 1)
         out.append(sorted(hits))
     return out
 
@@ -679,8 +695,8 @@ def _korselt_search(classes, group_order, kmax: int, prefilter, predicate, lo: i
     0 < |ke - c| <= k + 1 < P - e.  That gives P <= k + 2, not P | k + 2: no
     divisibility half.  Prefilter: Carmichael and 1-Williams numbers are odd
     with lambda(n) | n - 1, so they pass base 2.  G-Carmichael and G-Lehmer
-    numbers (15, 20, 40, ...) have lambda_G(n) | F(n), so base 1+2i gives
-    PASS or, when 5 | n, INVALID_BASE: only FAIL rules n out.
+    numbers (15, 20, 40, ...) have lambda_G(n) | F(n), so base 1+2i passes
+    modulo the 5-free part of n (_not_failing_gfp), also when 5 | n.
     """
     bounds = _large_prime_bounds((0, 0, *range(4, kmax + 3)), hi)  # k + 2 at index k
     confirm = partial(_factored_confirm, prefilter, predicate)

@@ -8,6 +8,8 @@ from math import gcd, isqrt, prod
 from operator import itemgetter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracle_utils import (
     brute_psp_masks,
     composite_sieve,
@@ -347,8 +349,10 @@ class TestClassSieve:
 class TestKorseltPrefilter:
     """The one Fermat test that each factored search runs before it factors
     a survivor rejects no member of the class: base 2 passes every odd n
-    with lambda(n) | n - 1, and base 1+2i fails no n with lambda_G(n) | F(n),
-    but gives INVALID_BASE on the members divisible by 5, such as 15."""
+    with lambda(n) | n - 1, and base 1+2i fails no n with lambda_G(n) | F(n).
+    On the n divisible by 5, such as the member 15, the Gaussian test is
+    INVALID_BASE; the prefilter then tests n modulo its 5-free part, which
+    no member fails and nearly every other multiple of 5 does."""
 
     LIMIT = 2 * 10**5
 
@@ -383,6 +387,9 @@ class TestKorseltPrefilter:
         if which.startswith("g_"):
             assert 15 in members[which]
             assert sum(n % 5 == 0 for n in members[which]) >= 3
+            step = 10 if which == "g_lehmer" else 5  # g_lehmer searches the odd n
+            others = sorted(set(range(15, self.LIMIT // 4, step)) - set(members[which]))
+            assert sum(map(prefilter, others)) < len(others) // 20
 
 
 # products of the two least primes above 2**16: no sieve prime divides them,
@@ -603,6 +610,47 @@ class TestCofactorCodes:
         assert sieves[0] == (lo, hi)
         assert len(sieves) <= 2 + len([k for k in ks if k < k0])
         assert all(b - a <= 2 * (hi - lo) + 2 for a, b in sieves[1:]), sieves
+
+
+def size_half_per_k(flags, start, m, bounds):
+    """The size half of the large-prime rule one k at a time: for each
+    (k, bound), every byte k of the suffix of n = start + i*m > bound
+    becomes 0."""
+    for k, bound in bounds:
+        i = max(0, (bound - start) // m + 1)
+        kill = bytearray(range(256))
+        kill[k] = 0
+        flags[i:] = flags[i:].translate(kill)
+
+
+@st.composite
+def size_half_cases(draw):
+    """(codes, start, m, bounds): a few codes, so that k repeat among them
+    and in bounds, and bounds below start, inside the progression and at
+    or past its end, in any order."""
+    codes = draw(st.lists(st.integers(0, 9), max_size=40))
+    start, m = draw(st.integers(2, 10**6)), draw(st.integers(1, 12))
+    bound = st.integers(start - 3 * m, start + (len(codes) + 3) * m)
+    bounds = draw(st.lists(st.tuples(st.integers(2, 9), bound), max_size=12))
+    return codes, start, m, bounds
+
+
+class TestSizeHalf:
+    """census._sieve_progression applies the size half in one pass over the
+    segments between the sorted cuts; with no order sieve it must clear
+    exactly what the per-k suffix translate of each (k, bound) clears."""
+
+    @given(size_half_cases())
+    @example(([3, 2, 3, 1, 2, 0, 3], 100, 3, [(3, 110), (2, 90), (3, 104)]))  # k twice, cut 0
+    @example(([2, 3, 2, 3], 10, 2, [(2, 16), (3, 40), (2, 17)]))  # cut at the end and past it
+    @example(([2, 3, 1], 5, 1, []))  # no bounds
+    def test_matches_per_k_suffixes(self, case):
+        codes, start, m, bounds = case
+        expected = bytearray(codes)
+        size_half_per_k(expected, start, m, bounds)
+        flags = bytearray(codes)
+        census._sieve_progression(flags, start, m, bounds, (), (), 0)
+        assert flags == expected
 
 
 class TestLargePrimeRules:
