@@ -41,12 +41,9 @@ partial result.
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
@@ -74,8 +71,6 @@ from .classify import (
 )
 from .fermat import TestOutcome, gaussian_fermat_test, ratio_power_is_one
 from .residues import GaussianBase
-
-log = logging.getLogger(__name__)
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 _SIEVE_CUTOFF = 1 << 32
@@ -197,17 +192,39 @@ def _run_blocks(kernel, params, query: RangeQuery, residue_filter, blocks: range
     in block order.
 
     Each block's task, (lo, hi, residue_filter, *params), is built only when
-    map asks for it.  The pool never exceeds the available CPUs or the block
-    count.
+    it is submitted.  The pool never exceeds the available CPUs or the block
+    count, and holds at most 2 * workers tasks in flight, so a query of any
+    length runs in bounded memory and reports progress from its first block.
+    One worker runs the blocks in this process and never loads the pool.  An
+    exception, such as a cancel raised by progress, shuts the pool down
+    before it propagates.
     """
     tasks = ((lo, min(lo + blocks.step, query.hi), residue_filter, *params) for lo in blocks)
     workers = min(query.workers, len(blocks), available_cpus())
     results = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for i, res in enumerate((pool.map if pool else map)(kernel, tasks), 1):
-            results.append(res)
-            if progress:
-                progress(i, len(blocks))
+
+    def collect(res):
+        results.append(res)
+        if progress:
+            progress(len(results), len(blocks))
+
+    if workers < 2:
+        for task in tasks:
+            collect(kernel(task))
+        return results
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    pending = deque()
+    try:
+        for task in tasks:
+            if len(pending) == 2 * workers:
+                collect(pending.popleft().result())
+            pending.append(pool.submit(kernel, task))
+        while pending:
+            collect(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
     return results
 
 
@@ -459,10 +476,14 @@ def _unit_orders(lo: int, hi: int, classes, period, is_one):
             while d % f == 0 and is_one(d // f, p):
                 d //= f
         p_free = all(c % p for _, _, c in classes)  # p | n never gives p | n - c
-        q = p
+        q = p  # d is now ord_p(x)
         while q < hi:
-            while not is_one(d, q):  # ord_q(x) is ord_p(x) times a power of p
+            # ord_q(x) is ord_(q/p)(x) or p times it, as the units mod q that
+            # are 1 mod q/p have exponent p; p = 2 keeps testing
+            if q > p and not is_one(d, q):
                 d *= p
+                while p == 2 and not is_one(d, q):
+                    d *= p
             if p_free and d % p == 0:
                 qs.append(q)
                 ds.append(0)
@@ -967,7 +988,11 @@ def verify_external_list(
                 invalid += 1
             elif outcome is TestOutcome.PASS:
                 passing.append(n)
-                log.warning("%d passes the Gaussian test to base %s", n, z)
+                import logging  # loaded only by a run that has a pass to report
+
+                logging.getLogger(__name__).warning(
+                    "%d passes the Gaussian test to base %s", n, z
+                )
     return VerificationReport(
         source=str(path),
         total_read=total_read,
@@ -1003,6 +1028,8 @@ def _query_dict(query: RangeQuery) -> dict:
 
 def canonical_json(rec: dict) -> str:
     """rec as one line of JSON with sorted keys and no spaces."""
+    import json
+
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 

@@ -1,7 +1,10 @@
+import concurrent.futures
 import importlib
 import logging
+import multiprocessing
 import os
 import tracemalloc
+from concurrent.futures import Future
 from functools import partial
 from itertools import compress
 from math import gcd, isqrt, prod
@@ -202,6 +205,84 @@ class TestGfpSieve:
                 q *= p
         qs, ds = census._gfp_orders(z, 2, hi)
         assert list(zip(qs, ds)) == expected
+
+
+class TestUnitOrderQuestions:
+    """_unit_orders against a linear scan of the powers of x for q < 2**12,
+    on the ten table bases, 1+2i and -2+5i, and the number of questions
+    x^e = 1 (mod q) it asks: none whose answer it already knows."""
+
+    HI = 1 << 12
+
+    def expected(self, x, mul, one, period, p_free):
+        """The order table of x by a linear scan of its powers, and the
+        questions that find it.  Cutting period(p) down to ord_p asks one
+        question per prime f it divides off, and one more for each prime f
+        left in ord_p.  At a power q > p an odd p asks one question, as
+        ord_q is ord_(q/p) or p times it; p = 2 asks one more per doubling."""
+        table, questions = [], 0
+        for p in primes_below(isqrt(self.HI - 1) + 2):
+            t = period(p)
+            if t == 0:
+                table.append((p, 0))
+                continue
+            q, last = p, 1
+            while q < self.HI:
+                y, d = x(q), 1
+                while not one(y, q):
+                    y, d = mul(y, x(q), q), d + 1
+                if q == p:
+                    kept = dict(trial_division_factorize(d))
+                    questions += sum(
+                        k - kept.get(f, 0) + (f in kept) for f, k in trial_division_factorize(t)
+                    )
+                else:
+                    questions += 1 + (p == 2) * ((d // last).bit_length() - 1)
+                if p_free and d % p == 0:
+                    table.append((q, 0))
+                    break
+                if d > 1:
+                    table.append((q, d))
+                q, last = q * p, d
+        return table, questions
+
+    def built(self, monkeypatch, build):
+        """build()'s (qs, ds) as pairs, and the questions it asked."""
+        asked = []
+        unit_orders = census._unit_orders
+
+        def counted(lo, hi, classes, period, is_one):
+            def ask(e, q):
+                asked.append(q)
+                return is_one(e, q)
+
+            return unit_orders(lo, hi, classes, period, ask)
+
+        monkeypatch.setattr(census, "_unit_orders", counted)
+        qs, ds = build()
+        return list(zip(qs, ds)), len(asked)
+
+    @pytest.mark.parametrize("a", TABLE_INTEGER_BASES)
+    def test_mask_orders(self, monkeypatch, a):
+        table, questions = self.built(monkeypatch, lambda: census._mask_orders(a, 2, self.HI))
+        expected, most = self.expected(
+            lambda q: a % q, lambda y, x, q: y * x % q, lambda y, q: y == 1,
+            lambda p: 0 if a % p == 0 else p - 1, p_free=True,
+        )
+        assert table == expected
+        assert questions <= most
+
+    @pytest.mark.parametrize("z", [GaussianBase(1, 2), GaussianBase(-2, 5)], ids=str)
+    def test_gfp_orders(self, monkeypatch, z):
+        table, questions = self.built(monkeypatch, lambda: census._gfp_orders(z, 2, self.HI))
+        expected, most = self.expected(
+            lambda q: (z.re % q, z.im % q),
+            lambda y, x, q: ((y[0] * x[0] - y[1] * x[1]) % q, (y[0] * x[1] + y[1] * x[0]) % q),
+            lambda y, q: 2 * y[1] % q == 0,  # w^e = 1 iff q | 2*Im(z^e)
+            lambda p: 0 if z.norm() % p == 0 else naive_script_F(p), p_free=False,
+        )
+        assert table == expected
+        assert questions <= most
 
 
 ORDER_HEIGHTS = (1 << 33, 1 << 40, (1 << 62) - 5000)
@@ -1099,24 +1180,26 @@ class TestPspMaskKernel:
 
 class TestRunBlocks:
     class StubPool:
+        """Runs each task at submit; _run_blocks imports the pool from
+        concurrent.futures when it starts one."""
+
         sizes = []
 
         def __init__(self, max_workers):
             self.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     @pytest.mark.parametrize("tasks, expected", [(10, 3), (2, 2)])
     def test_pool_capped_at_available_cpus(self, monkeypatch, tasks, expected):
         self.StubPool.sizes = []
-        monkeypatch.setattr(census, "ProcessPoolExecutor", self.StubPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.StubPool)
         monkeypatch.setattr(census, "available_cpus", lambda: 3)
         query = RangeQuery(2, 2 + tasks, None, 10**5)
         out = census._run_blocks(itemgetter(0), (), query, None, range(2, 2 + tasks))
@@ -1125,25 +1208,27 @@ class TestRunBlocks:
 
     def test_single_cpu_runs_serially(self, monkeypatch):
         self.StubPool.sizes = []
-        monkeypatch.setattr(census, "ProcessPoolExecutor", self.StubPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.StubPool)
         monkeypatch.setattr(census, "available_cpus", lambda: 1)
         query = RangeQuery(2, 4, None, 10**5)
         assert census._run_blocks(itemgetter(0), (), query, None, range(2, 4)) == [2, 3]
         assert self.StubPool.sizes == []
 
-    def test_cancelled_search_stays_small(self):
-        # [2, 2**32) in blocks of 2**14 is 2**18 blocks: a task list built
-        # before the first block runs would take tens of MB, and at 2**62 it
-        # would not fit in memory
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cancelled_search_stays_small(self, workers):
+        # [2, 2**62) in blocks of 2**14 is about 2**48 blocks: a task list
+        # built, or submitted, before the first block returns would not fit
+        # in memory.  The pool holds 2 * workers tasks, and a cancel shuts
+        # it down: no worker process outlives the call.
         class Cancel(Exception):
             pass
 
         def progress(done, total):
-            assert total == 1 << 18
+            assert total == len(range(2, 1 << 62, 1 << 14))
             if done == 3:
                 raise Cancel
 
-        query = RangeQuery(2, 1 << 32)
+        query = RangeQuery(2, 1 << 62, workers=workers)
         tracemalloc.start()
         try:
             with pytest.raises(Cancel):
@@ -1152,6 +1237,7 @@ class TestRunBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 22  # a block of 2**14 takes about 1.5 MB
+        assert multiprocessing.active_children() == []
 
     OPERATIONS = {
         "search_classifier": lambda query, size: search_classifier(

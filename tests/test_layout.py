@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gausspseudo
@@ -192,3 +195,35 @@ def test_no_orphan_private_definition():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     assert sorted(hit for hit in defined if hit[1] not in named) == []
+
+
+# Prints the named modules that the package loaded: those in sys.modules
+# now and not before the import (the interpreter's site may load some).
+COLD_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import gausspseudo
+from gausspseudo import RangeQuery, search_classifier
+
+def loaded(names):
+    return sorted(name for name in names if name in sys.modules and name not in before)
+
+print(loaded(("concurrent.futures", "multiprocessing", "json", "logging")))
+search_classifier(RangeQuery(2, 1 << 14, workers=1), "g_cyclic", block_size=1 << 12)
+print(loaded(("concurrent.futures", "multiprocessing")))
+"""
+
+
+def test_cold_start_loads_no_pool_json_or_logging():
+    """A fresh import of the package loads neither the process pool nor
+    json nor logging, and a one-worker search still loads no pool: each is
+    imported by the one function that uses it.  Run in a fresh interpreter,
+    as the test process may already hold these modules."""
+    src = str(Path(gausspseudo.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
