@@ -479,11 +479,10 @@ def _unit_orders(lo: int, hi: int, classes, period, is_one):
         q = p  # d is now ord_p(x)
         while q < hi:
             # ord_q(x) is ord_(q/p)(x) or p times it, as the units mod q that
-            # are 1 mod q/p have exponent p; p = 2 keeps testing
+            # are 1 mod q/p have exponent p, p = 2 included: (1 + 2^j*a)^2 is
+            # 1 mod 2^(j+1) for j >= 1
             if q > p and not is_one(d, q):
                 d *= p
-                while p == 2 and not is_one(d, q):
-                    d *= p
             if p_free and d % p == 0:
                 qs.append(q)
                 ds.append(0)
