@@ -5,8 +5,9 @@ of externally published pseudoprime lists.
 A range query builds its block kernel and parameters once, in the parent:
 the order tables and large-prime bounds of a sieve, or the columns and rule
 of an exact scan.  Fixed-size blocks go to worker processes, never more of
-them than the CPUs this process may run on; block results are merged in
-block order, so output is byte-identical for any worker count.  Inside a
+them than the CPUs this process may run on.  _run_blocks yields their
+results in block order, and _search, which every list search calls,
+flattens them, so output is byte-identical for any worker count.  Inside a
 block, primality, factorizations, phi_G, lambda_G and D come from sieves by
 the primes up to min(sqrt(hi), 2**16); above 2**32, Miller-Rabin and
 factorize settle only the n those primes leave open.
@@ -35,8 +36,8 @@ consecutive k overlap, so one sieve of their union codes every k from k0 to
 254.  g_cyclic is a rule on (n, phi_G(n)), congruence_exception one on (n,
 phi_G(n), lambda_G(n)) and giuga one on (n, phi_G(n), D(n)); one
 multiplicative sieve gives the columns a rule reads, and only those, without
-factoring n.  All kernels are pure; a cancelled run simply never returns a
-partial result.
+factoring n.  All kernels are pure, so a stream cancelled or closed early
+leaves nothing to undo.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
@@ -179,53 +180,47 @@ def available_cpus() -> int:
 
 
 def _block_starts(query: RangeQuery, block_size: int) -> range:
-    """The starts of the blocks of block_size that cover query.  Every public
-    range operation asks for them first, so a block_size below 1 raises
-    ValueError before any search or early return."""
+    """The starts of the blocks of block_size that cover query.  _search and
+    joint_census ask for them before any search or early return, so a
+    block_size below 1 raises ValueError even where no block would run."""
     if block_size < 1:
         raise ValueError("block_size must be positive")
     return range(query.lo, query.hi, block_size)
 
 
 def _run_blocks(kernel, params, query: RangeQuery, residue_filter, blocks: range, progress=None):
-    """The results of kernel over the blocks of query, starting at blocks,
-    in block order.
+    """Yield the results of kernel over the blocks of query, starting at
+    blocks, in block order, each after progress(done, total) reports it.
 
     Each block's task, (lo, hi, residue_filter, *params), is built only when
     it is submitted.  The pool never exceeds the available CPUs or the block
     count, and holds at most 2 * workers tasks in flight, so a query of any
     length runs in bounded memory and reports progress from its first block.
     One worker runs the blocks in this process and never loads the pool.  An
-    exception, such as a cancel raised by progress, shuts the pool down
-    before it propagates.
+    exception, such as a cancel raised by progress, and a consumer that
+    closes the stream early both shut the pool down.
     """
     tasks = ((lo, min(lo + blocks.step, query.hi), residue_filter, *params) for lo in blocks)
     workers = min(query.workers, len(blocks), available_cpus())
-    results = []
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-    def collect(res):
-        results.append(res)
-        if progress:
-            progress(len(results), len(blocks))
-
-    if workers < 2:
-        for task in tasks:
-            collect(kernel(task))
-        return results
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    pending = deque()
+        pool = ProcessPoolExecutor(max_workers=workers)
+        pending = deque()
     try:
-        for task in tasks:
-            if len(pending) == 2 * workers:
-                collect(pending.popleft().result())
-            pending.append(pool.submit(kernel, task))
-        while pending:
-            collect(pending.popleft().result())
+        for done in range(1, len(blocks) + 1):
+            if workers < 2:
+                result = kernel(next(tasks))
+            else:
+                for task in islice(tasks, 2 * workers - len(pending)):
+                    pending.append(pool.submit(kernel, task))
+                result = pending.popleft().result()
+            if progress:
+                progress(done, len(blocks))
+            yield result
     finally:
-        pool.shutdown(cancel_futures=True)
-    return results
+        if workers > 1:
+            pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -541,26 +536,24 @@ def _passes_fermat(a: int, n: int) -> bool:
     return pow(a, n - 1, n) == 1
 
 
-def _fermat_witness(a: int, kmax: int) -> tuple:
-    """Pinch's witnesses of base a: a^(k-1) - 1 at index k, for 2 <= k <=
-    kmax, and 0 at k = 0 and 1.  For n = kP with P prime, a^(n-1) =
-    a^(k-1) (mod P), so P divides the witness if n passes (after R. G. E.
-    Pinch, "The pseudoprimes up to 10^13", ANTS-IV, 2000).  That holds at
-    every k, so the divisibility half can use all k up to 254 that the
-    kernel codes.
-    """
-    return (0, 0, *(a ** (k - 1) - 1 for k in range(2, kmax + 1)))
+def _witness_ks(hi: int) -> range:
+    """The k >= 2 of the witness tables of a query below hi: to 254 (codes
+    are bytes) when hi <= 2**32, else to the bit length of hi, past which no
+    Pinch witness a^(k-1) - 1 >= 2^(k-1) - 1 gives a bound below hi; no block
+    above 2**32 reads one.  Fewer witnesses are sound: the sieve clears less."""
+    return range(2, 255 if hi <= _SIEVE_CUTOFF else hi.bit_length() + 1)
 
 
 def _fermat_spec(a: int, lo: int, hi: int) -> _SieveSpec:
     """The sieve spec of the n in [lo, hi) that pass base a, confirmed by
     a^(n-1) = 1 (mod n): the orders of a for n - 1, and both halves of the
-    large-prime rule with the witnesses of _fermat_witness.  Up to 2**32,
-    where blocks carry codes, they reach k = 254.  Above, they stop at the
-    bit length of hi, as the size half needs: a^(k-1) - 1 >= 2^(k-1) - 1, so
-    no larger k gives a bound below hi.  There a base near 2**63 adds about
-    15 KB to every task, against 250 KB for a table to k = 254."""
-    witnesses = _fermat_witness(a, 254 if hi <= _SIEVE_CUTOFF else hi.bit_length())
+    large-prime rule with Pinch's witnesses a^(k-1) - 1 at index k, for the
+    k of _witness_ks(hi), and 0 at k = 0 and 1.  For n = kP with P prime,
+    a^(n-1) = a^(k-1) (mod P), so P divides the witness if n passes (after
+    R. G. E. Pinch, "The pseudoprimes up to 10^13", ANTS-IV, 2000).  That
+    holds at every k, so the divisibility half can use all k up to 254 that
+    the kernel codes."""
+    witnesses = (0, 0, *(a ** (k - 1) - 1 for k in _witness_ks(hi)))
     bounds = _large_prime_bounds(witnesses, hi)
     return _SieveSpec(*_mask_orders(a, lo, hi), bounds, witnesses, partial(_passes_fermat, a))
 
@@ -569,9 +562,9 @@ def _passes_gfp(z: GaussianBase, n: int) -> bool:
     return gaussian_fermat_test(n, z) is TestOutcome.PASS
 
 
-def _gfp_witness(z: GaussianBase) -> tuple:
+def _gfp_witness(z: GaussianBase, hi: int) -> tuple:
     """The witnesses of the Gaussian test to base z: Im(z^F(k)) at index k,
-    for 2 <= k <= 254 (codes are bytes), and 0 at k = 0 and 1.
+    for the k of _witness_ks(hi), and 0 at k = 0 and 1.
 
     With w = z/conj(z) and e = (-1/P) for an odd prime P not dividing
     z*conj(z) (else n is an invalid modulus), w^P = w^e (mod P).  Since n
@@ -586,7 +579,16 @@ def _gfp_witness(z: GaussianBase) -> tuple:
     for _ in range(255):
         x, y = x * z.re - y * z.im, x * z.im + y * z.re
         ims.append(y)
-    return (0, 0, *(ims[script_F(k)] for k in range(2, 255)))
+    return (0, 0, *(ims[script_F(k)] for k in _witness_ks(hi)))
+
+
+def _gfp_search(z: GaussianBase, lo: int, hi: int):
+    """The sieve of the n in [lo, hi) that pass the Gaussian test to base z:
+    the orders of z/conj(z) for F(n) and the witnesses of _gfp_witness."""
+    witnesses = _gfp_witness(z, hi)
+    bounds = _large_prime_bounds(witnesses, hi)
+    spec = _SieveSpec(*_gfp_orders(z, lo, hi), bounds, witnesses, partial(_passes_gfp, z))
+    return _sieve_kernel, (_F_CLASSES, (spec,))
 
 
 def _korselt_orders(group_order, lo: int, hi: int):
@@ -783,6 +785,22 @@ def _odd_filter(residue_filter):
 # Public operations
 # ---------------------------------------------------------------------------
 
+def _search(query: RangeQuery, entry: _ClassEntry, residue_filter, block_size: int, progress):
+    """The ascending hits of entry over the n of query that pass
+    residue_filter, in blocks of block_size if entry is blocked, else in one;
+    none if entry is odd_only and the filter passes only even n."""
+    blocks = _block_starts(query, block_size)
+    if entry.odd_only:
+        residue_filter = _odd_filter(residue_filter)
+        if residue_filter is None:
+            return []
+    if not entry.blocked:
+        blocks = _block_starts(query, query.hi - query.lo)
+    kernel, params = entry.build(query.lo, query.hi)
+    parts = _run_blocks(kernel, params, query, residue_filter, blocks, progress)
+    return [n for (hits,) in parts for n in hits]
+
+
 def search_gfp(
     query: RangeQuery,
     z: GaussianBase,
@@ -800,18 +818,8 @@ def search_gfp(
     The survivors are confirmed by the exact test,
     fermat.gaussian_fermat_test.
     """
-    blocks = _block_starts(query, block_size)
-    witnesses = _gfp_witness(z)
-    spec = _SieveSpec(
-        *_gfp_orders(z, query.lo, query.hi),
-        _large_prime_bounds(witnesses, query.hi),
-        witnesses,
-        partial(_passes_gfp, z),
-    )
-    parts = _run_blocks(
-        _sieve_kernel, (_F_CLASSES, (spec,)), query, query.residue_filter, blocks, progress
-    )
-    return [n for (hits,) in parts for n in hits]
+    entry = _ClassEntry(partial(_gfp_search, z))
+    return _search(query, entry, query.residue_filter, block_size, progress)
 
 
 def search_classifier(
@@ -845,22 +853,12 @@ def search_classifier(
     Membership is decided by classify's PREDICATES, g_cyclic_from_phi
     and giuga_from_totient.
     """
-    blocks = _block_starts(query, block_size)
     entry = _CLASS_SEARCHES.get(which)
     if entry is None:
         raise ValueError(f"unknown classifier {which!r}; choose from {CLASSIFIER_NAMES}")
     if entry.capped and query.hi - 1 > giuga_cap:
         raise ValueError(f"giuga cap exceeded: {query.hi - 1} > {giuga_cap}")
-    residue_filter = query.residue_filter
-    if entry.odd_only:
-        residue_filter = _odd_filter(residue_filter)
-        if residue_filter is None:
-            return []
-    kernel, params = entry.build(query.lo, query.hi)
-    if not entry.blocked:
-        blocks = _block_starts(query, query.hi - query.lo)
-    parts = _run_blocks(kernel, params, query, residue_filter, blocks, progress)
-    return [n for (hits,) in parts for n in hits]
+    return _search(query, entry, query.residue_filter, block_size, progress)
 
 
 def joint_census(
@@ -891,9 +889,8 @@ def joint_census(
     if gaussian_bases and integer_bases:
         specs = tuple(_fermat_spec(a, query.lo, query.hi) for a in integer_bases)
         params = (specs, gaussian_bases)
-        for part in _run_blocks(
-            _joint_kernel, params, query, query.residue_filter, blocks, progress
-        ):
+        parts = _run_blocks(_joint_kernel, params, query, query.residue_filter, blocks, progress)
+        for part in parts:
             for row, part_row in zip(counts, part):
                 for j, c in enumerate(part_row):
                     row[j] += c
@@ -920,12 +917,10 @@ def carmichael_intersection_scan(
     rejected.  Raises ConsistencyError if the Williams-route cross-check
     ever disagrees.
     """
-    blocks = _block_starts(query, block_size)
     if query.residue_filter not in (None, (4, 3)):
         raise ValueError("this scan fixes the residue filter to (4, 3)")
-    kernel, params = _classical_search(carmichael_and_g_carmichael_3mod4, query.lo, query.hi)
-    parts = _run_blocks(kernel, params, query, (4, 3), blocks, progress)
-    return [n for (hits,) in parts for n in hits]
+    entry = _ClassEntry(partial(_classical_search, carmichael_and_g_carmichael_3mod4))
+    return _search(query, entry, (4, 3), block_size, progress)
 
 
 # A longer line is read in pieces and counted as malformed, so one huge line

@@ -3,7 +3,8 @@ reproduce the joint pseudoprime table, and verify external lists.
 
 Data goes to stdout and is byte-identical across runs (and across worker
 counts); progress and warnings go to stderr.  Exit codes: 0 for success,
-1 when a verification finds passing numbers, 2 for usage or input errors.
+1 when a verification finds passing numbers, 2 for usage or input errors,
+130 when an interrupt (Ctrl-C) cancels the command.
 """
 
 from __future__ import annotations
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # a search's pool is already shut down
+        print("error: interrupted", file=sys.stderr)
+        return 130
     finally:
         package_log.setLevel(level)
 

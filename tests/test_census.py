@@ -163,6 +163,19 @@ class TestSearchGfp:
             expected = [n for n in range(lo, hi) if not is_prime(n) and is_gfp(n, z)]
             assert got == expected, str(z)
 
+    def test_large_base_witnesses_stop_at_bit_length_above_cutoff(self):
+        # as for the integer bases, a query above 2**32 carries the witnesses
+        # Im(z^F(k)) only up to k = the bit length of hi, at most 64; the
+        # block below 2**32 reads them and still finds every pseudoprime
+        z = GaussianBase((1 << 31) - 1, 1 << 31)
+        for hi in (census._SIEVE_CUTOFF + 600, 1 << 63):
+            _, (_, (spec,)) = census._gfp_search(z, hi - 1200, hi)
+            assert len(spec.witnesses) == hi.bit_length() + 1 <= 65
+            assert len(spec.witnesses) == len(census._fermat_spec(2, hi - 1200, hi).witnesses)
+        lo, hi = census._SIEVE_CUTOFF - 600, census._SIEVE_CUTOFF + 600
+        got = search_gfp(RangeQuery(lo, hi), z, block_size=600)
+        assert got == [n for n in range(lo, hi) if not is_prime(n) and is_gfp(n, z)]
+
 
 # the panel plus a real base and a second base whose ratio is a root of unity
 SIEVE_BASES = BASE_PANEL + (GaussianBase(3, 0), GaussianBase(2, 2))
@@ -1202,7 +1215,7 @@ class TestRunBlocks:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.StubPool)
         monkeypatch.setattr(census, "available_cpus", lambda: 3)
         query = RangeQuery(2, 2 + tasks, None, 10**5)
-        out = census._run_blocks(itemgetter(0), (), query, None, range(2, 2 + tasks))
+        out = list(census._run_blocks(itemgetter(0), (), query, None, range(2, 2 + tasks)))
         assert out == list(range(2, 2 + tasks))
         assert self.StubPool.sizes == [expected]
 
@@ -1211,7 +1224,7 @@ class TestRunBlocks:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.StubPool)
         monkeypatch.setattr(census, "available_cpus", lambda: 1)
         query = RangeQuery(2, 4, None, 10**5)
-        assert census._run_blocks(itemgetter(0), (), query, None, range(2, 4)) == [2, 3]
+        assert list(census._run_blocks(itemgetter(0), (), query, None, range(2, 4))) == [2, 3]
         assert self.StubPool.sizes == []
 
     @pytest.mark.parametrize("workers", [
@@ -1242,6 +1255,16 @@ class TestRunBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 22  # a block of 2**14 takes about 1.5 MB
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(census.available_cpus() < 2, reason="one CPU runs serially: no pool")
+    def test_closing_the_stream_shuts_its_pool(self):
+        # a consumer that stops after the first block closes the stream: the
+        # tasks still in flight are cancelled and no worker outlives it
+        query = RangeQuery(2, 1_002, None, 2)
+        stream = census._run_blocks(itemgetter(0), (), query, None, range(2, 1_002))
+        assert next(stream) == 2
+        stream.close()
         assert multiprocessing.active_children() == []
 
     OPERATIONS = {

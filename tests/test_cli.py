@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -310,6 +311,34 @@ class TestWorkersDefault:
         )
         assert run_cli(capsys, "search", "g_carmichael", "--hi", "100", "--quiet") == (0, "", "")
         assert seen == [3]
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            gausspseudo.census.available_cpus() < 2, reason="one CPU runs serially: no pool"
+        )),
+    ])
+    def test_interrupt_exits_130_without_traceback(self, capsys, monkeypatch, workers):
+        # an interrupt after two blocks: one line on stderr, exit 130, and
+        # the search's pool is shut down before main returns
+        from gausspseudo import cli
+
+        def interrupted(label, quiet):
+            def progress(done, total):
+                if done == 2:
+                    raise KeyboardInterrupt
+            return progress
+
+        monkeypatch.setattr(cli, "_Progress", interrupted)
+        argv = ["search", "g_cyclic", "--hi", str(1 << 23), "--workers", str(workers)]
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert multiprocessing.active_children() == []
 
 
 # Tokens for the in-process fuzz of main(): valid and invalid values of

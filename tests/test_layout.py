@@ -176,6 +176,27 @@ def test_one_korselt_path_per_factored_class(monkeypatch):
         assert spec.confirm.func is census._factored_confirm
 
 
+def test_list_searches_share_one_stream_reader():
+    """The list searches reach the block stream only through _search, which
+    flattens its per-block hits in the one place; joint_census, whose
+    blocks return counts, is the other reader of the stream."""
+    readers = {
+        name
+        for name, node in census_functions().items()
+        if any(isinstance(n, ast.Name) and n.id == "_run_blocks" for n in ast.walk(node))
+    }
+    assert readers == {"_search", "joint_census"}
+    source = next(path for path in SOURCES if path.name == "census.py")
+    flattens = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.comprehension)
+        and isinstance(node.target, ast.Tuple)
+        and [ast.unparse(elt) for elt in node.target.elts] == ["hits"]
+    ]
+    assert len(flattens) == 1, flattens
+
+
 def test_no_orphan_private_definition():
     """Every module-level private function and class of the package is
     named somewhere in the package besides its own definition."""
