@@ -946,6 +946,8 @@ def verify_external_list(
     path,
     z: GaussianBase,
     residue_filter: tuple[int, int] | None = None,
+    *,
+    on_pass=None,
 ) -> VerificationReport:
     """Run the Gaussian test over a file of candidate integers.
 
@@ -953,7 +955,8 @@ def verify_external_list(
     comments, blank lines are skipped, anything else unparsable counts as
     malformed, as does any other line longer than 4096 characters.  Entries
     passing the test are returned (for a published Fermat-pseudoprime list
-    they are the interesting finds); entries whose gcd with z*conj(z)
+    they are the interesting finds), and on_pass(n), if given, is called
+    with each as the scan reaches it; entries whose gcd with z*conj(z)
     exceeds 1 are tallied as invalid-base.  A residue filter (m, r) keeps
     the n = r mod m; check_residue_filter rejects a bad one up front.
     """
@@ -982,11 +985,8 @@ def verify_external_list(
                 invalid += 1
             elif outcome is TestOutcome.PASS:
                 passing.append(n)
-                import logging  # loaded only by a run that has a pass to report
-
-                logging.getLogger(__name__).warning(
-                    "%d passes the Gaussian test to base %s", n, z
-                )
+                if on_pass:
+                    on_pass(n)
     return VerificationReport(
         source=str(path),
         total_read=total_read,

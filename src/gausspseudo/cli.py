@@ -2,7 +2,9 @@
 reproduce the joint pseudoprime table, and verify external lists.
 
 Data goes to stdout and is byte-identical across runs (and across worker
-counts); progress and warnings go to stderr.  Exit codes: 0 for success,
+counts); progress and warnings go to stderr.  This module is the only
+writer of either: the library writes nothing to stdout or stderr, and
+reports through the callbacks passed to it.  Exit codes: 0 for success,
 1 when a verification finds passing numbers, 2 for usage or input errors,
 130 when an interrupt (Ctrl-C) cancels the command.
 """
@@ -10,7 +12,6 @@ counts); progress and warnings go to stderr.  Exit codes: 0 for success,
 from __future__ import annotations
 
 import argparse
-import logging
 import re
 import sys
 import time
@@ -70,14 +71,11 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 class _Progress:
     """Rate-limited progress lines on stderr."""
 
-    def __init__(self, label: str, quiet: bool):
+    def __init__(self, label: str):
         self.label = label
-        self.quiet = quiet
         self.last = 0.0
 
     def __call__(self, done: int, total: int) -> None:
-        if self.quiet:
-            return
         now = time.monotonic()
         if done == total or now - self.last >= _PROGRESS_INTERVAL:
             self.last = now
@@ -194,7 +192,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_search(args) -> int:
     query = RangeQuery(args.lo, args.hi, args.filter, args.workers)
-    progress = _Progress(f"search {args.classifier}", args.quiet)
+    progress = None if args.quiet else _Progress(f"search {args.classifier}")
     gfp = args.classifier == "gfp"
     if gfp != (args.base is not None):
         raise ValueError("search gfp requires --base" if gfp else "only search gfp takes --base")
@@ -211,14 +209,18 @@ def _cmd_search(args) -> int:
 
 def _cmd_table(args) -> int:
     query = RangeQuery(2, args.limit, args.filter, args.workers)
-    progress = _Progress("table", args.quiet)
+    progress = None if args.quiet else _Progress("table")
     table = joint_census(query, args.gaussian_bases, args.integer_bases, progress=progress)
     sys.stdout.write(_render_table(table, query, args.format))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = verify_external_list(args.file, args.base, args.filter)
+    def warn(n: int) -> None:
+        print(f"WARNING: {n} passes the Gaussian test to base {args.base}", file=sys.stderr)
+
+    on_pass = None if args.quiet else warn
+    report = verify_external_list(args.file, args.base, args.filter, on_pass=on_pass)
     sys.stdout.write(_render_verification(report, args.format))
     return 1 if report.passing else 0
 
@@ -235,7 +237,6 @@ def _attach_base_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(_attach_base_values(sys.argv[1:] if argv is None else argv))
     handlers = {
@@ -244,11 +245,6 @@ def main(argv=None) -> int:
         "table": _cmd_table,
         "verify": _cmd_verify,
     }
-    # Set on every call and put back after it: a process that runs main more
-    # than once, or calls the library after it, must not inherit a --quiet.
-    package_log = logging.getLogger(__package__)
-    level = package_log.level
-    package_log.setLevel(logging.ERROR if args.quiet else logging.WARNING)
     try:
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
@@ -257,8 +253,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:  # a search's pool is already shut down
         print("error: interrupted", file=sys.stderr)
         return 130
-    finally:
-        package_log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 import concurrent.futures
 import importlib
-import logging
 import multiprocessing
 import os
 import tracemalloc
@@ -1331,13 +1330,35 @@ class TestVerifyExternalList:
         assert rep.filtered == 0
         assert rep.passing == ()
 
-    def test_143_passes_with_warning(self, tmp_path, caplog):
+    def test_143_passes_with_warning(self, tmp_path):
         f = tmp_path / "list.txt"
         f.write_text("143\n")
-        with caplog.at_level(logging.WARNING):
-            rep = verify_external_list(f, Z12)
+        passed = []
+        rep = verify_external_list(f, Z12, on_pass=passed.append)
         assert rep.passing == (143,)
-        assert any("143" in r.message for r in caplog.records)
+        assert passed == [143]
+
+    def test_on_pass_once_per_pass_in_file_order(self, tmp_path):
+        # 13 passes but is filtered out, 15 is a multiple of 5 (invalid
+        # base), 91 fails, and one line is malformed
+        f = tmp_path / "list.txt"
+        f.write_text("779\n13\nnot-a-number\n143\n15\n91\n527\n")
+        passed = []
+        rep = verify_external_list(f, Z12, (4, 3), on_pass=passed.append)
+        assert passed == [779, 143, 527]
+        assert tuple(passed) == rep.passing
+        assert (rep.filtered, rep.invalid_base, rep.malformed_lines) == (5, 1, 1)
+
+        class Stop(Exception):
+            pass
+
+        def stop(n):
+            raise Stop(n)
+
+        # called as the scan reaches the entry, not after the function returns
+        with pytest.raises(Stop) as info:
+            verify_external_list(f, Z12, (4, 3), on_pass=stop)
+        assert info.value.args == (779,)
 
     def test_malformed_and_comments(self, tmp_path):
         f = tmp_path / "list.txt"

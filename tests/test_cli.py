@@ -287,17 +287,50 @@ class TestVerifyQuiet:
         assert quiet_out == loud_out
         assert "passing: 143 399 527 779" in loud_out
 
-    def test_level_is_per_call(self, capsys, caplog, tmp_path):
-        # main runs many times in one process: no call keeps the last one's level
+    def test_quiet_is_per_call(self, capsys, tmp_path):
+        # main runs many times in one process: no call keeps the last one's --quiet
         f = tmp_path / "list.txt"
         f.write_text(self.LINES)
         warned, outs = [], []
         for flags in ([], ["--quiet"], [], ["--quiet"]):
-            caplog.clear()
-            outs.append(run_cli(capsys, "verify", "--file", str(f), "--base", "1+2i", *flags))
-            warned.append(sum(r.name.startswith("gausspseudo") for r in caplog.records))
+            code, out, err = run_cli(capsys, "verify", "--file", str(f), "--base", "1+2i", *flags)
+            warned.append(len(err.splitlines()))
+            outs.append((code, out))
         assert warned == [4, 0, 4, 0]
         assert len(set(outs)) == 1
+
+
+_TWO_CPUS = pytest.mark.skipif(
+    gausspseudo.census.available_cpus() < 2, reason="one CPU runs serially: no pool"
+)
+
+
+class TestQuietParity:
+    """--quiet changes stderr only: every command writes the same stdout and
+    exit code with and without it, and nothing to stderr with it.  The
+    search and the table run three blocks of 2**20; at two workers the
+    search runs them through the pool, with no progress callback when
+    quiet."""
+
+    @pytest.mark.parametrize("argv, last_line", [
+        (["search", "carmichael", "--hi", "3000000", "--workers", "1"],
+         "search carmichael: 3/3 blocks"),
+        pytest.param(["search", "carmichael", "--hi", "3000000", "--workers", "2"],
+                     "search carmichael: 3/3 blocks", marks=_TWO_CPUS),
+        (["table", "--limit", "3000000", "--gaussian-bases", "1+2i", "--integer-bases", "2",
+          "--workers", "1"], "table: 3/3 blocks"),
+        (["verify", "--file", "LIST", "--base", "1+2i"],
+         "WARNING: 779 passes the Gaussian test to base 1+2i"),
+        (["classify", "561"], None),
+    ])
+    def test_stdout_equal_and_quiet_stderr_empty(self, capsys, tmp_path, argv, last_line):
+        f = tmp_path / "list.txt"
+        f.write_text(TestVerifyQuiet.LINES)
+        argv = [str(f) if arg == "LIST" else arg for arg in argv]
+        loud_code, loud_out, loud_err = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--quiet") == (loud_code, loud_out, "")
+        assert loud_out
+        assert loud_err.splitlines()[-1:] == ([last_line] if last_line else [])
 
 
 class TestWorkersDefault:
@@ -314,18 +347,13 @@ class TestWorkersDefault:
 
 
 class TestInterrupt:
-    @pytest.mark.parametrize("workers", [
-        1,
-        pytest.param(2, marks=pytest.mark.skipif(
-            gausspseudo.census.available_cpus() < 2, reason="one CPU runs serially: no pool"
-        )),
-    ])
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_TWO_CPUS)])
     def test_interrupt_exits_130_without_traceback(self, capsys, monkeypatch, workers):
         # an interrupt after two blocks: one line on stderr, exit 130, and
         # the search's pool is shut down before main returns
         from gausspseudo import cli
 
-        def interrupted(label, quiet):
+        def interrupted(label):
             def progress(done, total):
                 if done == 2:
                     raise KeyboardInterrupt

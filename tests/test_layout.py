@@ -218,6 +218,34 @@ def test_no_orphan_private_definition():
     assert sorted(hit for hit in defined if hit[1] not in named) == []
 
 
+def _used_names(tree):
+    """Each name, attribute and imported top-level module named in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+WRITERS = {"print", "stdout", "stderr"}
+
+
+def test_only_the_cli_writes():
+    """The library reports through the callbacks it is given: no module of
+    the package names logging, and only cli.py names print, sys.stdout or
+    sys.stderr."""
+    found = []
+    for path in SOURCES:
+        names = set(_used_names(ast.parse(path.read_text(encoding="utf-8"))))
+        banned = {"logging"} | (WRITERS if path.name != "cli.py" else set())
+        found += [(path.name, name) for name in sorted(names & banned)]
+    assert not found, found
+
+
 # Prints the named modules that the package loaded: those in sys.modules
 # now and not before the import (the interpreter's site may load some).
 COLD_IMPORT_PROBE = """
@@ -232,14 +260,17 @@ def loaded(names):
 print(loaded(("concurrent.futures", "multiprocessing", "json", "logging")))
 search_classifier(RangeQuery(2, 1 << 14, workers=1), "g_cyclic", block_size=1 << 12)
 print(loaded(("concurrent.futures", "multiprocessing")))
+import gausspseudo.cli
+print(loaded(("concurrent.futures", "multiprocessing", "json", "logging")))
 """
 
 
 def test_cold_start_loads_no_pool_json_or_logging():
     """A fresh import of the package loads neither the process pool nor
-    json nor logging, and a one-worker search still loads no pool: each is
-    imported by the one function that uses it.  Run in a fresh interpreter,
-    as the test process may already hold these modules."""
+    json nor logging, a one-worker search still loads no pool, and the CLI
+    module adds none of them: each is imported by the one function that
+    uses it, and no module uses logging.  Run in a fresh interpreter, as
+    the test process may already hold these modules."""
     src = str(Path(gausspseudo.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -247,4 +278,4 @@ def test_cold_start_loads_no_pool_json_or_logging():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert done.stdout.splitlines() == ["[]", "[]", "[]"]
