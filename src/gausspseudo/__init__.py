@@ -52,19 +52,10 @@ from .fermat import (
     TestOutcome,
     classical_fermat_test,
     gaussian_fermat_im_test,
-    gaussian_fermat_ratio_test,
     gaussian_fermat_test,
     is_fermat_psp,
     is_gfp,
 )
-from .residues import (
-    GaussianBase,
-    GaussianResidue,
-    InvalidBase,
-    NotInvertible,
-    enumerate_group,
-    reduce,
-    unit_ratio,
-)
+from .residues import GaussianBase
 
 __version__ = "0.1.0"

@@ -46,6 +46,20 @@ def gpow(a, b, e, n):
     return ra, rb
 
 
+def ratio_form_outcome(n, a, b):
+    """The Gaussian Fermat test to base z = a+bi, from its definition:
+    "invalid_base" if gcd(n, a^2 + b^2) > 1, else "pass" if
+    w = z/conj(z) has w^F(n) = 1 (mod n), else "fail".  conj(z) is
+    inverted as z/(a^2 + b^2) and w raised on the naive ladder."""
+    norm = a * a + b * b
+    if gcd(n, norm) != 1:
+        return "invalid_base"
+    s = pow(norm, -1, n)
+    ia, ib = a * s % n, b * s % n  # 1/conj(z) = z/(a^2 + b^2)
+    wa, wb = (a * ia - b * ib) % n, (a * ib + b * ia) % n
+    return "pass" if gpow(wa, wb, naive_script_F(n), n) == (1 % n, 0) else "fail"
+
+
 def trial_division_is_prime(n):
     if n < 2:
         return False

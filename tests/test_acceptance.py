@@ -17,7 +17,9 @@ from oracle_utils import (
     element_order,
     factors_from_spf,
     gpow,
+    norm_one_group,
     primes_below,
+    ratio_form_outcome,
     smallest_prime_factor_sieve,
     twin_pair_products_below,
 )
@@ -48,9 +50,9 @@ from gausspseudo.fermat import (
     TABLE_INTEGER_BASES,
     TestOutcome,
     gaussian_fermat_im_test,
-    gaussian_fermat_ratio_test,
+    gaussian_fermat_test,
 )
-from gausspseudo.residues import GaussianBase, enumerate_group
+from gausspseudo.residues import GaussianBase
 
 WORKERS = 8
 
@@ -100,17 +102,15 @@ def test_criterion_01_group_oracle():
     t0 = time.perf_counter()
     bad = []
     for n in range(2, 2001):
-        elements = enumerate_group(n)
+        elements = norm_one_group(n)
         if len(elements) != gaussian_phi(n):
             bad.append((n, "order"))
             continue
         lam = gaussian_lambda(n)
-        if any(gpow(z.re, z.im, lam, n) != (1 % n, 0) for z in elements):
+        if any(gpow(a, b, lam, n) != (1 % n, 0) for a, b in elements):
             bad.append((n, "exponent-divides"))
             continue
-        if not any(
-            element_order(z.re, z.im, n, len(elements)) == lam for z in elements
-        ):
+        if not any(element_order(a, b, n, len(elements)) == lam for a, b in elements):
             bad.append((n, "max-order"))
     elapsed = time.perf_counter() - t0
     report(1, not bad and elapsed < 300, f"n <= 2000, {elapsed:.1f}s, mismatches={bad[:5]}")
@@ -140,9 +140,9 @@ def test_criterion_02_structure_theorem():
             if (gs.cyclic_orders, gs.order, gs.exponent) != (expected, order, exponent):
                 mismatches.append((n, "descriptor"))
             else:
-                elements = enumerate_group(n)
+                elements = norm_one_group(n)
                 if len(elements) != order or not any(
-                    element_order(z.re, z.im, n, order) == exponent for z in elements
+                    element_order(a, b, n, order) == exponent for a, b in elements
                 ):
                     mismatches.append((n, "no element of maximal order"))
             k += 1
@@ -392,15 +392,16 @@ def test_criterion_10_giuga_set():
 def test_criterion_11a_form_equivalence():
     for n in range(2, 1001):
         for z in EQUIVALENCE_PANEL:
-            assert gaussian_fermat_ratio_test(n, z) is gaussian_fermat_im_test(n, z), (
-                n, str(z))
-    report("11a", True, "ratio and imaginary forms agree, n <= 10^3, 20 bases")
+            outcome = gaussian_fermat_test(n, z)
+            assert outcome is gaussian_fermat_im_test(n, z), (n, str(z))
+            assert outcome.value == ratio_form_outcome(n, z.re, z.im), (n, str(z))
+    report("11a", True, "main path, ratio and imaginary forms agree, n <= 10^3, 20 bases")
 
 
 def test_criterion_11b_prime_completeness():
     for p in primes_below(10_001):
         for z in BASE_PANEL:
-            assert gaussian_fermat_ratio_test(p, z) is not TestOutcome.FAIL, (p, str(z))
+            assert gaussian_fermat_test(p, z) is not TestOutcome.FAIL, (p, str(z))
     report("11b", True, "no prime <= 10^4 fails any panel base")
 
 
@@ -415,8 +416,8 @@ def test_criterion_11c_base_norm_equivalence():
         assert z.norm() == w.norm()
         for n in range(2, 100_000):
             if flags[n]:
-                rz = gaussian_fermat_ratio_test(n, z)
-                rw = gaussian_fermat_ratio_test(n, w)
+                rz = gaussian_fermat_test(n, z)
+                rw = gaussian_fermat_test(n, w)
                 assert rz is rw, (n, str(z), str(w))
     report("11c", True, "equal-norm bases define identical pseudoprime sets < 10^5")
 
@@ -424,7 +425,7 @@ def test_criterion_11c_base_norm_equivalence():
 def test_criterion_11d_g_carmichael_completeness(g_carmichael_to_1e5):
     for n in g_carmichael_to_1e5:
         for z in BASE_PANEL:
-            outcome = gaussian_fermat_ratio_test(n, z)
+            outcome = gaussian_fermat_test(n, z)
             assert outcome is not TestOutcome.FAIL, (n, str(z))
     report("11d", True,
            f"all {len(g_carmichael_to_1e5)} G-Carmichael numbers < 10^5 pass every valid panel base")

@@ -34,9 +34,14 @@ from gausspseudo.arith import (
     primes_up_to,
     script_F,
 )
-from gausspseudo.classify import classify, is_g_lehmer
-from gausspseudo.fermat import gaussian_fermat_test
-from gausspseudo.residues import GaussianBase, GaussianResidue, enumerate_group, reduce, unit_ratio
+from gausspseudo.classify import classify, giuga_membership, is_g_lehmer
+from gausspseudo.fermat import (
+    classical_fermat_test,
+    gaussian_fermat_im_test,
+    gaussian_fermat_test,
+    is_gfp,
+)
+from gausspseudo.residues import GaussianBase
 
 Z12 = GaussianBase(1, 2)
 
@@ -46,10 +51,10 @@ _DOMAIN_CALLS = {
     "gaussian_fermat_test": lambda n: gaussian_fermat_test(n, Z12),
     "classify": classify,
     "is_g_lehmer": is_g_lehmer,
-    "reduce": lambda n: reduce(Z12, n),
-    "unit_ratio": lambda n: unit_ratio(Z12, n),
-    "GaussianResidue": lambda n: GaussianResidue(0, 0, n),
-    "enumerate_group": enumerate_group,
+    "gaussian_fermat_im_test": lambda n: gaussian_fermat_im_test(n, Z12),
+    "is_gfp": lambda n: is_gfp(n, Z12),
+    "classical_fermat_test": lambda n: classical_fermat_test(n, 2),
+    "giuga_membership": giuga_membership,
 }
 
 

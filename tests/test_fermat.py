@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle_utils import composite_sieve, gpow, primes_below
+from oracle_utils import composite_sieve, gpow, primes_below, ratio_form_outcome
 
 from gausspseudo import fermat
 from gausspseudo.fermat import (
@@ -13,7 +13,6 @@ from gausspseudo.fermat import (
     TestOutcome,
     classical_fermat_test,
     gaussian_fermat_im_test,
-    gaussian_fermat_ratio_test,
     gaussian_fermat_test,
     is_fermat_psp,
     is_gfp,
@@ -26,17 +25,17 @@ Z12 = GaussianBase(1, 2)
 
 class TestRatioForm:
     def test_prime_passes(self):
-        assert gaussian_fermat_ratio_test(7, Z12) is TestOutcome.PASS
+        assert gaussian_fermat_test(7, Z12) is TestOutcome.PASS
 
     def test_composite_fails(self):
-        assert gaussian_fermat_ratio_test(9, Z12) is TestOutcome.FAIL
+        assert gaussian_fermat_test(9, Z12) is TestOutcome.FAIL
 
     def test_invalid_base(self):
-        assert gaussian_fermat_ratio_test(15, Z12) is TestOutcome.INVALID_BASE
+        assert gaussian_fermat_test(15, Z12) is TestOutcome.INVALID_BASE
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gaussian_fermat_ratio_test(1, Z12)
+            gaussian_fermat_test(1, Z12)
 
 
 class TestImForm:
@@ -99,9 +98,7 @@ class TestFormEquivalence:
     def test_forms_agree_small(self):
         for n in range(2, 1000):
             for z in EQUIVALENCE_PANEL:
-                assert gaussian_fermat_ratio_test(n, z) is gaussian_fermat_im_test(
-                    n, z
-                ), (n, str(z))
+                assert_three_forms_agree(n, z)
 
     def test_panel_sizes(self):
         assert len(TABLE_GAUSSIAN_BASES) == 10
@@ -113,10 +110,7 @@ class TestPrimeCompleteness:
     def test_primes_never_fail(self):
         for p in primes_below(2000):
             for z in BASE_PANEL:
-                assert gaussian_fermat_ratio_test(p, z) is not TestOutcome.FAIL, (
-                    p,
-                    str(z),
-                )
+                assert gaussian_fermat_test(p, z) is not TestOutcome.FAIL, (p, str(z))
 
 
 class TestBaseNormEquivalence:
@@ -142,8 +136,10 @@ ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def assert_three_forms_agree(n, z):
+    """The main path against the imaginary form and the ratio form of
+    oracle_utils, which shares no code with the package."""
     main = gaussian_fermat_test(n, z)
-    assert main is gaussian_fermat_ratio_test(n, z), (n, str(z))
+    assert main.value == ratio_form_outcome(n, z.re, z.im), (n, str(z))
     assert main is gaussian_fermat_im_test(n, z), (n, str(z))
     return main
 
@@ -171,8 +167,8 @@ def shares_factor_with_norm(draw):
 
 
 class TestMainPathAgreement:
-    """gaussian_fermat_test against the ratio form and the imaginary form,
-    with a strategy forcing each branch of the main path."""
+    """gaussian_fermat_test against the ratio-form oracle and the imaginary
+    form, with a strategy forcing each branch of the main path."""
 
     @settings(max_examples=300)
     @given(CANDIDATES, BASES)

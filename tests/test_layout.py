@@ -14,9 +14,8 @@ census = importlib.import_module("gausspseudo.census")
 
 SOURCES = sorted(Path(gausspseudo.__file__).parent.glob("*.py"))
 
-# The raw complex ladder is shared on purpose: the ratio form's residues and
-# the fallback of fermat.ratio_power_is_one are one ladder.
-ALLOWED_PRIVATE_IMPORTS = {("fermat.py", "residues", "_pow_components")}
+# (file, module, name) of each private import the package permits: none.
+ALLOWED_PRIVATE_IMPORTS = set()
 
 
 def private_imports(path):
@@ -39,6 +38,36 @@ def test_sources_found():
 def test_no_private_name_crosses_modules():
     found = {hit for path in SOURCES for hit in private_imports(path)}
     assert found <= ALLOWED_PRIVATE_IMPORTS, sorted(found - ALLOWED_PRIVATE_IMPORTS)
+
+
+def test_imaginary_form_shares_no_code_with_the_main_path():
+    """gaussian_fermat_im_test runs a ladder of its own: it names neither
+    the main path nor the main path's raw ladder."""
+    source = next(path for path in SOURCES if path.name == "fermat.py")
+    (im_test,) = [
+        node
+        for node in ast.parse(source.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "gaussian_fermat_im_test"
+    ]
+    assert not {"_pow_components", "ratio_power_is_one"} & set(_used_names(im_test))
+
+
+def imported_modules(tree):
+    """The module of each import in tree, a relative one with its dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_oracles_import_nothing_from_the_package():
+    """tests/oracle_utils.py checks the package only while it shares no
+    code with it: no import of gausspseudo, and no relative import."""
+    tree = ast.parse((Path(__file__).parent / "oracle_utils.py").read_text(encoding="utf-8"))
+    modules = list(imported_modules(tree))
+    assert modules
+    assert not [m for m in modules if m.startswith((".", "gausspseudo"))], modules
 
 
 def _is_literal_2_63(node):
