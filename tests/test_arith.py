@@ -308,6 +308,35 @@ class TestGaussianPhiLambda:
             assert (gaussian_phi(n) == gaussian_lambda(n)) == expected, n
 
 
+class TestNormOneGroup:
+    """oracle_utils.norm_one_group, the G_n of acceptance criteria 1 and 2,
+    against worked groups, the quadratic scan and the order phi_G(n)."""
+
+    def test_n2(self):
+        assert norm_one_group(2) == [(0, 1), (1, 0)]
+
+    def test_n3(self):
+        assert norm_one_group(3) == [(0, 1), (0, 2), (1, 0), (2, 0)]
+
+    def test_n4_size(self):
+        assert len(norm_one_group(4)) == gaussian_phi(4) == 8
+
+    def test_matches_brute_scan_across_factorizations(self):
+        # prime powers and products of several, against the quadratic scan
+        for n in [2, 5, 8, 12, 45, 128, 299, 300, 301, 329, 343, 360, 512, 625, 900]:
+            group = norm_one_group(n)
+            assert group == brute_group(n), n
+            assert len(group) == gaussian_phi(n), n
+
+    def test_closed_under_product_and_conjugation(self):
+        for n in [2, 4, 9, 15, 16, 45, 49, 65]:
+            group = set(norm_one_group(n))
+            for a, b in group:
+                assert (a, -b % n) in group, (n, a, b)
+                for c, d in group:
+                    assert ((a * c - b * d) % n, (a * d + b * c) % n) in group, (n, a, b, c, d)
+
+
 class TestClassicalFunctions:
     def test_examples(self):
         assert classical_phi(12) == 4

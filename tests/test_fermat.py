@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from oracle_utils import composite_sieve, gpow, primes_below, ratio_form_outcome
 
 from gausspseudo import fermat
+from gausspseudo.arith import gaussian_lambda, gaussian_phi
 from gausspseudo.fermat import (
     BASE_PANEL,
     EQUIVALENCE_PANEL,
@@ -203,6 +205,18 @@ class TestMainPathAgreement:
     def test_unit_ratio_a_root_of_unity(self, n, z):
         assert_three_forms_agree(n, z)
 
+    def test_every_residue_base_small_n(self):
+        # every a+bi with 0 <= a, b < n: INVALID_BASE exactly when the norm
+        # shares a factor with n, else the ratio-form oracle's answer
+        for n in range(2, 51):
+            for a in range(n):
+                for b in range(n):
+                    if (a, b) == (0, 0):
+                        continue
+                    outcome = assert_three_forms_agree(n, GaussianBase(a, b))
+                    invalid = gcd(a * a + b * b, n) > 1
+                    assert (outcome is TestOutcome.INVALID_BASE) is invalid, (n, a, b)
+
     def test_exhaustive_small_n(self):
         # against the imaginary form, the faster cross-check; the forms
         # themselves agree in TestFormEquivalence
@@ -280,6 +294,94 @@ class TestRatioPowerIsOne:
         for b in (1, -3, 5):
             assert ratio_power_is_one(GaussianBase(0, b), e, 2)
             assert ratio_power_oracle(GaussianBase(0, b), e, 2)
+
+
+class TestPow:
+    """fermat._pow_components, the raw ladder of the main path, against
+    worked values and the naive ladder of oracle_utils."""
+
+    def test_i_to_16(self):
+        assert fermat._pow_components(0, 1, 16, 15) == (1, 0)
+        assert fermat._pow_components(0, 1, 2, 7) == (6, 0)
+
+    def test_identity_exponent(self):
+        assert fermat._pow_components(3, 8, 1, 9) == (3, 8)
+        assert fermat._pow_components(3, 8, 0, 9) == (1, 0)
+
+    def test_example_mod_9(self):
+        assert fermat._pow_components(3, 8, 8, 9) == (1, 6)
+
+    def test_pow_additive(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randrange(2, 300)
+            a, b = rng.randrange(n), rng.randrange(n)
+            x, y = rng.randrange(1 << 20), rng.randrange(1 << 20)
+            pa, pb = fermat._pow_components(a, b, x, n)
+            qa, qb = fermat._pow_components(a, b, y, n)
+            expected = ((pa * qa - pb * qb) % n, (pa * qb + pb * qa) % n)
+            assert fermat._pow_components(a, b, x + y, n) == expected, (a, b, x, y, n)
+
+    def test_matches_naive_ladder(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randrange(2, 1000)
+            a, b = rng.randrange(n), rng.randrange(n)
+            e = rng.randrange(1 << 16)
+            assert fermat._pow_components(a, b, e, n) == gpow(a, b, e, n), (a, b, e, n)
+
+    def test_conj_and_norm_commute_with_powers(self):
+        # (conj z)^e = conj(z^e) and N(z^e) = N(z)^e (mod n)
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randrange(2, 400)
+            a, b = rng.randrange(n), rng.randrange(n)
+            e = rng.randrange(1 << 12)
+            ra, rb = fermat._pow_components(a, b, e, n)
+            assert fermat._pow_components(a, -b % n, e, n) == (ra, -rb % n), (a, b, e, n)
+            assert (ra * ra + rb * rb) % n == pow(a * a + b * b, e, n), (a, b, e, n)
+
+
+class TestUnitRatio:
+    """ratio_power_is_one on unit ratios w = z/conj(z) worked by hand."""
+
+    def test_degenerate_base(self):
+        # 1+1i has w = i: w^e = 1 iff 4 | e, on the V-chain (ab = 1)
+        for e in range(1, 41):
+            assert ratio_power_is_one(GaussianBase(1, 1), e, 15) is (e % 4 == 0), e
+
+    def test_example_mod_9(self):
+        # 1+2i has w = (-3+4i)/5 = 3+8i mod 9, of order 12 in G_9
+        got = [e for e in range(1, 49) if ratio_power_is_one(Z12, e, 9)]
+        assert got == [e for e in range(1, 49) if gpow(3, 8, e, 9) == (1, 0)]
+        assert got == [12, 24, 36, 48]
+
+    def test_invalid_base(self):
+        # gcd(15, 5) = 5: conj(1+2i) has no inverse, so there is no w to raise
+        with pytest.raises(ValueError):
+            ratio_power_is_one(Z12, 16, 15)
+
+    def test_always_norm_one(self):
+        # w lies in G_n, so w^lambda_G(n) = w^phi_G(n) = 1
+        bases = [GaussianBase(a, b) for a, b in
+                 [(1, 2), (1, 4), (2, 5), (1, 1), (3, 8), (4, 9), (1, -2), (-3, 10)]]
+        for n in range(2, 1001, 7):
+            for z in bases:
+                if gcd(n, z.norm()) == 1:
+                    assert ratio_power_is_one(z, gaussian_lambda(n), n), (n, str(z))
+                    assert ratio_power_is_one(z, gaussian_phi(n), n), (n, str(z))
+
+
+@pytest.mark.parametrize("z", EQUIVALENCE_PANEL, ids=str)
+def test_ratio_power_every_exponent_small_n(z):
+    """ratio_power_is_one for every e up to lambda_G(n) + 1 and every
+    n < 400 prime to the norm, against the naive ladder: both the V-chain
+    and the raw ladder, on each exponent the census order tables may ask."""
+    for n in range(2, 400):
+        if gcd(n, z.norm()) != 1:
+            continue
+        for e in range(1, gaussian_lambda(n) + 2):
+            assert ratio_power_is_one(z, e, n) is ratio_power_oracle(z, e, n), (n, e)
 
 
 class TestFrobenius:
