@@ -4,7 +4,6 @@ group mod n, number classifications, and parallel range censuses."""
 from .arith import (
     Factorization,
     GroupDescriptor,
-    beta,
     classical_lambda,
     classical_phi,
     factorize,

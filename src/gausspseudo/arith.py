@@ -102,19 +102,6 @@ class Factorization:
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("primes must be strictly increasing")
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    @property
-    def omega(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(k == 1 for _, k in self.factors)
-
 
 def _brent_rho(n: int, c: int) -> int:
     """One Brent-rho round with x^2+c; returns a divisor (possibly n)."""
@@ -192,15 +179,6 @@ def factorize(n: int) -> Factorization:
             stack += [d, m // d]
     factors = tuple(sorted(counts.items()))
     return Factorization(original, factors)
-
-
-def beta(p: int) -> int:
-    """The quadratic character of -1 at p: 0 at 2, +1 if p=1 mod 4, -1 if p=3 mod 4."""
-    if not is_prime(p):
-        raise ValueError(f"beta is defined on primes only, got {p}")
-    if p == 2:
-        return 0
-    return 1 if p % 4 == 1 else -1
 
 
 def script_F(n: int) -> int:

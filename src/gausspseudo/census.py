@@ -63,7 +63,6 @@ from .arith import (
     script_F,
 )
 from .classify import (
-    DEFAULT_GIUGA_CAP,
     PREDICATES,
     carmichael_and_g_carmichael_3mod4,
     g_cyclic_from_phi,
@@ -734,13 +733,15 @@ def _unsieved(kernel, *params):
 class _ClassEntry(NamedTuple):
     build: object  # (lo, hi) -> (block kernel, parameters), once per query
     odd_only: bool = False  # every member is odd: search the odd n only
-    capped: bool = False  # giuga_cap bounds the query
     blocked: bool = True  # else one task covers the whole query
 
 
-# kmax 128 (g_carmichael) and 24 (g_lehmer) were the fastest on 2**16 windows
-# in [2**23, 2**24) before the classical classes joined; larger ones cost more
-# in codes than they save.  carmichael and williams_1 take 24 as well: 128 ran
+# kmax 24 (g_lehmer) was the fastest on 2**16 windows in [2**23, 2**24);
+# larger ones cost more in codes than they save.  g_carmichael takes 128,
+# which pays most on long blocks: at 1 worker (2-CPU VM, Python 3.11, CPU
+# time, median of 10 alternating pairs), 229 ms against 379 ms for 24 on a
+# 2**20 block at 2**23, and 28.9 ms against 31.9 ms per 2**16 window at
+# 2**23 + j * 2**20, j < 8.  carmichael and williams_1 take 24 as well: 128 ran
 # slower on 2**16 windows at 2**23, 8 on a 2**20 block there.  Odd members
 # only: Carmichael and 1-Williams numbers are odd; G-cyclic ones have
 # gcd(phi_G(n), n) = 1 with phi_G(n) even; for an even n > 2, v2(phi_G(n)) >
@@ -764,7 +765,7 @@ _CLASS_SEARCHES = {
     "congruence_exception": _ClassEntry(
         _unsieved(_batch_kernel, ("phi", "lam"), _congruence_exception), odd_only=True
     ),
-    "giuga": _ClassEntry(_unsieved(_batch_kernel, ("phi", "d"), giuga_from_totient), capped=True),
+    "giuga": _ClassEntry(_unsieved(_batch_kernel, ("phi", "d"), giuga_from_totient)),
     "williams_1": _ClassEntry(partial(_classical_search, PREDICATES["williams_1"]), odd_only=True),
     "twin_pair_product": _ClassEntry(_unsieved(_twin_kernel), blocked=False),
 }
@@ -826,7 +827,6 @@ def search_classifier(
     query: RangeQuery,
     which: str,
     *,
-    giuga_cap: int = DEFAULT_GIUGA_CAP,
     block_size: int = DEFAULT_BLOCK_SIZE,
     progress=None,
 ) -> list[int]:
@@ -856,8 +856,6 @@ def search_classifier(
     entry = _CLASS_SEARCHES.get(which)
     if entry is None:
         raise ValueError(f"unknown classifier {which!r}; choose from {CLASSIFIER_NAMES}")
-    if entry.capped and query.hi - 1 > giuga_cap:
-        raise ValueError(f"giuga cap exceeded: {query.hi - 1} > {giuga_cap}")
     return _search(query, entry, query.residue_filter, block_size, progress)
 
 

@@ -26,9 +26,6 @@ from .arith import (
     script_F,
 )
 
-DEFAULT_GIUGA_CAP = 100_000
-
-
 class ConsistencyError(RuntimeError):
     """Two provably equivalent computations disagreed: an implementation bug."""
 
@@ -217,7 +214,7 @@ def lambda_power_congruence(n: int) -> bool:
 # Giuga-style power sums
 # ---------------------------------------------------------------------------
 
-def giuga_membership(n: int, cap: int = DEFAULT_GIUGA_CAP) -> bool:
+def giuga_membership(n: int) -> bool:
     """Whether the sum of z**F(n) over the norm-one group equals F(n) mod n.
 
     Both components of the sum must match (real part F(n), imaginary 0).
@@ -226,13 +223,11 @@ def giuga_membership(n: int, cap: int = DEFAULT_GIUGA_CAP) -> bool:
     group element.
     """
     check_domain(n)
-    if n > cap:
-        raise ValueError(f"giuga cap exceeded: {n} > {cap}")
     return giuga_from_factors(n, factorize(n).factors)
 
 
 def giuga_from_factors(n: int, factors) -> bool:
-    """giuga_membership of n, given its factorization; no cap applies.
+    """giuga_membership of n, given its factorization.
 
     For odd p the group mod p^k || n is cyclic of order m = phi_G(p^k);
     z -> z**F maps it onto its subgroup of order e = m / gcd(m, F), hitting
@@ -311,9 +306,7 @@ class ClassificationReport:
     FLAG_ORDER = (*PREDICATES, "giuga_member")
 
 
-def classify(
-    n: int, *, with_giuga: bool = False, giuga_cap: int = DEFAULT_GIUGA_CAP
-) -> ClassificationReport:
+def classify(n: int, *, with_giuga: bool = False) -> ClassificationReport:
     """Evaluate every predicate at n; the Giuga sum only when requested.
 
     The flags come from PREDICATES.  The witness routes of g_carmichael
@@ -334,6 +327,6 @@ def classify(
         n=n,
         is_prime=_is_prime(factors),
         **flags,
-        giuga_member=giuga_membership(n, giuga_cap) if with_giuga else None,
+        giuga_member=giuga_from_factors(n, factors) if with_giuga else None,
         witnesses=witnesses,
     )

@@ -96,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify a single integer", parents=[common])
     p_classify.add_argument("n", type=int)
     p_classify.add_argument("--giuga", action="store_true", help="also evaluate the Giuga power sum")
-    p_classify.add_argument("--giuga-cap", type=int, default=None)
     p_classify.add_argument("--format", choices=("plain", "records"), default="plain")
 
     p_search = sub.add_parser("search", parents=[common], help="search a range for a number class")
@@ -106,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--filter", type=_parse_filter, default=None, metavar="M,R")
     p_search.add_argument("--base", type=_parse_base, default=None, metavar="A+Bi")
     p_search.add_argument("--workers", type=int, default=available_cpus())
-    p_search.add_argument("--giuga-cap", type=int, default=None)
     p_search.add_argument("--format", choices=("plain", "csv", "records"), default="plain")
 
     p_table = sub.add_parser("table", parents=[common], help="joint Gaussian/classical pseudoprime counts")
@@ -175,17 +173,8 @@ def _render_verification(report: VerificationReport, fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _giuga_cap(args, used: bool, command: str) -> dict:
-    """The given --giuga-cap as the library's keyword; a cap that the
-    command would drop is an error."""
-    if args.giuga_cap is not None and not used:
-        raise ValueError(f"only {command} takes --giuga-cap")
-    return {} if args.giuga_cap is None else {"giuga_cap": args.giuga_cap}
-
-
 def _cmd_classify(args) -> int:
-    cap = _giuga_cap(args, args.giuga, "classify --giuga")
-    report = classify(args.n, with_giuga=args.giuga, **cap)
+    report = classify(args.n, with_giuga=args.giuga)
     sys.stdout.write(_render_report(report, args.format))
     return 0
 
@@ -196,11 +185,10 @@ def _cmd_search(args) -> int:
     gfp = args.classifier == "gfp"
     if gfp != (args.base is not None):
         raise ValueError("search gfp requires --base" if gfp else "only search gfp takes --base")
-    cap = _giuga_cap(args, args.classifier == "giuga", "search giuga")
     if gfp:
         values = search_gfp(query, args.base, progress=progress)
     else:
-        values = search_classifier(query, args.classifier, progress=progress, **cap)
+        values = search_classifier(query, args.classifier, progress=progress)
     sys.stdout.write(
         _render_values(values, f"search_{args.classifier}", query, args.base, args.format)
     )

@@ -276,7 +276,7 @@ def test_criterion_06a_even_two_prime_as_stated(g_carmichael_to_1e5):
     evens = [
         n
         for n in g_carmichael_to_1e5
-        if n < 10_000 and n % 2 == 0 and factorize(n).omega == 2
+        if n < 10_000 and n % 2 == 0 and len(factorize(n).factors) == 2
     ]
     report("6a", evens == [12, 20],
            f"{len(evens)} even two-prime members < 10^4, first ten: {evens[:10]}")
@@ -306,7 +306,7 @@ def test_criterion_07_two_factor_theorems(g_carmichael_to_1e5):
     odd_two_prime_gc = [
         n
         for n in g_carmichael_to_1e5
-        if n % 2 == 1 and factorize(n).omega == 2
+        if n % 2 == 1 and len(factorize(n).factors) == 2
     ]
     odd_two_prime_gl = [n for n in odd_two_prime_gc if is_g_lehmer(n)]
     twins = twin_pair_products_below(100_000)
@@ -374,7 +374,7 @@ def test_criterion_10_giuga_set():
         if not flags[n]:
             continue
         fac = factors_from_spf(n, spf)
-        member = giuga_membership(n, cap=limit)
+        member = giuga_membership(n)
         phi_equals_F = gaussian_phi_from_factors(fac) == script_F(n)
         if member != phi_equals_F:
             mismatches.append(n)

@@ -22,7 +22,6 @@ from oracle_utils import (
 
 from gausspseudo.arith import (
     Factorization,
-    beta,
     check_domain,
     classical_lambda,
     classical_phi,
@@ -127,11 +126,8 @@ class TestFactorize:
             Factorization(6, ((3, 1), (2, 1)))
 
     def test_helpers(self):
-        fac = factorize(60)
-        assert fac.primes == (2, 3, 5)
-        assert fac.omega == 3
-        assert not fac.is_squarefree
-        assert factorize(30).is_squarefree
+        assert factorize(60).factors == ((2, 2), (3, 1), (5, 1))
+        assert factorize(30).factors == ((2, 1), (3, 1), (5, 1))
 
 
 def prime_from(n):
@@ -186,21 +182,12 @@ class TestFactorizeProperties:
         assert factorize(p * p * q).factors == ((p, 2), (q, 1))
 
 
-class TestBeta:
-    def test_values(self):
-        assert beta(5) == 1
-        assert beta(7) == -1
-        assert beta(2) == 0
-
-    def test_rejects_composites(self):
-        with pytest.raises(ValueError):
-            beta(9)
-
-
 class TestScriptF:
     def test_cases(self):
         assert script_F(13) == 12
+        assert script_F(5) == 4
         assert script_F(7) == 8
+        assert script_F(2) == 2
         assert script_F(8) == 8
         assert script_F(1) == 0
 
@@ -250,12 +237,14 @@ class TestGaussianPhiLambda:
         assert gaussian_lambda(m * n) == lcm(gaussian_lambda(m), gaussian_lambda(n))
 
     def test_product_formula_with_beta(self):
-        # Phi(n) = (2 if 4|n else 1) * n * prod(1 - beta(p)/p)
+        # Phi(n) = (2 if 4|n else 1) * n * prod(1 - beta(p)/p), where
+        # beta(p) = p - F(p) is 0 at 2, +1 if p = 1 mod 4, -1 if p = 3 mod 4
         for n in range(2, 2000):
             fac = factorize(n)
             num, den = n, 1
             for p, _ in fac.factors:
-                num *= p - beta(p)
+                beta = p - script_F(p)
+                num *= p - beta
                 den *= p
             expected = (2 if n % 4 == 0 else 1) * num // den
             assert gaussian_phi(n) == expected, n
@@ -304,7 +293,7 @@ class TestGaussianPhiLambda:
     def test_phi_equals_lambda_characterization(self):
         for n in range(2, 2000):
             fac = factorize(n)
-            expected = n == 2 or (fac.omega == 1 and fac.factors[0][0] % 2 == 1)
+            expected = n == 2 or (len(fac.factors) == 1 and fac.factors[0][0] % 2 == 1)
             assert (gaussian_phi(n) == gaussian_lambda(n)) == expected, n
 
 

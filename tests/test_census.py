@@ -52,7 +52,6 @@ from gausspseudo.classify import (
     phi_power_congruence,
 )
 from gausspseudo.arith import (
-    MAX_ARG,
     classical_lambda,
     factorize,
     gaussian_lambda,
@@ -97,7 +96,7 @@ def naive_classifier_scan(lo, hi, which, residue_filter=None):
         elif which == "g_cyclic":
             ok = is_g_cyclic(n)
         elif which == "g_lehmer":
-            ok = is_g_lehmer(n) and factorize(n).omega >= 3
+            ok = is_g_lehmer(n) and len(factorize(n).factors) >= 3
         elif which == "congruence_exception":
             ok = (
                 is_g_cyclic(n)
@@ -105,17 +104,16 @@ def naive_classifier_scan(lo, hi, which, residue_filter=None):
                 and not lambda_power_congruence(n)
             )
         elif which == "giuga":
-            ok = giuga_membership(n, cap=n)
+            ok = giuga_membership(n)
         elif which == "williams_1":
             ok = is_r_williams(n, 1)
         else:  # twin_pair_product
-            fac = factorize(n)
+            factors = factorize(n).factors
             ok = (
                 n % 2 == 1
-                and fac.omega == 2
-                and fac.is_squarefree
-                and fac.primes[1] == fac.primes[0] + 2
-                and (fac.primes[0] + fac.primes[1]) % 8 == 0
+                and [k for _, k in factors] == [1, 1]
+                and factors[1][0] == factors[0][0] + 2
+                and (factors[0][0] + factors[1][0]) % 8 == 0
             )
         if ok:
             hits.append(n)
@@ -378,8 +376,6 @@ SIEVED_CLASSES = (
     "giuga",
 )
 CLASS_FILTERS = (None, (4, 1), (4, 3), (3, 2), (8, 5), (2, 0), (6, 3))
-# the searches of the class tests, with the giuga cap out of the way
-uncapped_search = partial(search_classifier, giuga_cap=MAX_ARG)
 
 
 @pytest.fixture(scope="module")
@@ -398,7 +394,7 @@ class TestClassSieve:
         for residue_filter in CLASS_FILTERS:
             m, r = residue_filter or (1, 0)
             # blocks of 1000 start at every residue mod 4 and 8
-            got = uncapped_search(
+            got = search_classifier(
                 RangeQuery(2, SIEVE_LIMIT, residue_filter), which, block_size=1000
             )
             assert got == [n for n in expected if n % m == r], residue_filter
@@ -407,7 +403,7 @@ class TestClassSieve:
     def test_window_near_2_23_against_naive(self, which):
         lo = (1 << 23) + 3 * (1 << 19) + 77
         hi = lo + (1 << 12)
-        assert uncapped_search(RangeQuery(lo, hi), which) == naive_classifier_scan(
+        assert search_classifier(RangeQuery(lo, hi), which) == naive_classifier_scan(
             lo, hi, which
         )
 
@@ -584,7 +580,7 @@ def test_searches_without_lambda_call_no_lcm(monkeypatch, naive_class_hits, whic
         raise AssertionError(f"lcm{args}")
 
     monkeypatch.setattr(census, "lcm", refuse)
-    got = uncapped_search(RangeQuery(2, SIEVE_LIMIT), which)
+    got = search_classifier(RangeQuery(2, SIEVE_LIMIT), which)
     assert got == naive_class_hits[which]
     assert got
 
@@ -616,7 +612,7 @@ class TestSievesAtHeight:
     def test_giuga_with_a_factorize_tail(self, center, m):
         lo, hi = center - 100 * m, center + 100 * m
         residue_filter = (m, center % m) if m > 1 else None
-        got = uncapped_search(RangeQuery(lo, hi, residue_filter), "giuga")
+        got = search_classifier(RangeQuery(lo, hi, residue_filter), "giuga")
         assert got == naive_classifier_scan(lo, hi, "giuga", residue_filter)
 
     @pytest.mark.parametrize(
@@ -930,7 +926,7 @@ class TestTopOfDomain:
 
     @pytest.mark.parametrize("which", ["g_cyclic", "congruence_exception", "carmichael", "giuga"])
     def test_last_window_against_naive(self, which):
-        got = uncapped_search(RangeQuery(self.LO, self.HI), which)
+        got = search_classifier(RangeQuery(self.LO, self.HI), which)
         assert got == naive_classifier_scan(self.LO, self.HI, which)
 
     def test_gfp_last_window_against_naive(self):
@@ -1025,11 +1021,14 @@ class TestSearchClassifier:
         got = search_classifier(RangeQuery(2, 400), "congruence_exception")
         assert got == [77, 119, 133, 187, 217, 253, 287, 301, 319, 323, 341, 391, 399]
 
-    def test_giuga_cap(self):
-        with pytest.raises(ValueError):
-            search_classifier(RangeQuery(2, 200_001), "giuga")
-        got = search_classifier(RangeQuery(2, 50), "giuga")
-        assert got == naive_classifier_scan(2, 50, "giuga")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("residue_filter", [None, (4, 3)])
+    def test_giuga_above_2e5(self, residue_filter, workers):
+        # giuga is searched like every other class, at any height
+        lo, hi = 200_000, 203_000
+        query = RangeQuery(lo, hi, residue_filter, workers)
+        got = search_classifier(query, "giuga", block_size=1000)
+        assert got == naive_classifier_scan(lo, hi, "giuga", residue_filter)
 
     @pytest.mark.parametrize("which", CLASSIFIER_NAMES)
     def test_oracle_equivalence_to_1e4(self, which):
@@ -1061,7 +1060,7 @@ class TestSearchClassifier:
             return real(limit)
 
         monkeypatch.setattr(census, "primes_up_to", bounded)
-        got = uncapped_search(RangeQuery(lo, hi), which, block_size=200)
+        got = search_classifier(RangeQuery(lo, hi), which, block_size=200)
         assert got == naive_classifier_scan(lo, hi, which)
 
 

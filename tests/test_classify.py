@@ -154,14 +154,9 @@ class TestGiuga:
         assert giuga_membership(7)
         assert giuga_membership(15)
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            giuga_membership(200_000)
-        assert giuga_membership(200_000, cap=300_000) in (True, False)
-
     def test_against_direct_summation(self):
         for n in list(range(2, 400)) + [512, 243, 125, 343, 121, 529]:
-            assert giuga_membership(n, cap=10**6) == brute_giuga_member(n), n
+            assert giuga_membership(n) == brute_giuga_member(n), n
 
     def test_odd_members_have_phi_equal_F_to_1e5(self):
         spf = smallest_prime_factor_sieve(100_000)
@@ -170,7 +165,7 @@ class TestGiuga:
             if not flags[n]:
                 continue
             fac = factors_from_spf(n, spf)
-            member = giuga_membership(n, cap=100_000)
+            member = giuga_membership(n)
             assert member == (gaussian_phi_from_factors(fac) == naive_script_F(n)), n
 
 
@@ -232,8 +227,6 @@ class TestClassifyReport:
 
     def test_giuga_gating(self):
         assert classify(15, with_giuga=True).giuga_member is True
-        with pytest.raises(ValueError):
-            classify(150_000, with_giuga=True)
 
     def test_witness_reported(self):
         r = classify(561)

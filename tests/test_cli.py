@@ -59,10 +59,10 @@ class TestClassifyCommand:
         _, out, _ = run_cli(capsys, "classify", "15", "--giuga")
         assert "giuga_member: true" in out
 
-    def test_giuga_cap_only_with_giuga(self, capsys):
-        code, out, err = run_cli(capsys, "classify", "15", "--giuga-cap", "3")
-        assert (code, out) == (2, "")
-        assert err == "error: only classify --giuga takes --giuga-cap\n"
+    def test_giuga_above_1e5(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "150001", "--giuga")
+        assert code == 0
+        assert "\ngiuga_member: " in out
 
 
 class TestSearchCommand:
@@ -97,13 +97,6 @@ class TestSearchCommand:
         code, out, err = run_cli(capsys, "search", which, "--hi", "3000", "--base", "1+2i")
         assert (code, out) == (2, "")
         assert err == "error: only search gfp takes --base\n"
-
-    @pytest.mark.parametrize("which", ["g_cyclic", "gfp"])
-    def test_giuga_cap_only_with_giuga(self, capsys, which):
-        argv = ["search", which, "--hi", "40", "--giuga-cap", "3"]
-        code, out, err = run_cli(capsys, *argv, *(["--base", "1+2i"] if which == "gfp" else []))
-        assert (code, out) == (2, "")
-        assert err == "error: only search giuga takes --giuga-cap\n"
 
     @pytest.mark.parametrize("hi, code", [(2**63, 0), (2**63 + 1, 2)])
     def test_hi_up_to_2_63(self, capsys, hi, code):
@@ -401,7 +394,7 @@ _COMMON = {"--quiet": _FLAG, "--format": _with_value(_FORMATS)}
 _COMMANDS = {
     "classify": (
         st.builds(lambda n: [n], _NUMBERS),
-        {**_COMMON, "--giuga": _FLAG, "--giuga-cap": _with_value(_BOUNDS)},
+        {**_COMMON, "--giuga": _FLAG},
     ),
     "search": (
         st.builds(
@@ -410,7 +403,7 @@ _COMMANDS = {
         ),
         {**_COMMON, "--lo": _with_value(_BOUNDS), "--hi": _with_value(_BOUNDS),
          "--filter": _with_value(_FILTERS), "--base": _with_value(_BASES),
-         "--workers": _with_value(_WORKERS), "--giuga-cap": _with_value(_BOUNDS)},
+         "--workers": _with_value(_WORKERS)},
     ),
     "table": (
         # the default --limit, 4*10**7, is far above the fuzz ranges
@@ -440,7 +433,9 @@ def _argv(draw):
         flag = draw(st.sampled_from(sorted(spec)))
         args += [flag, *draw(spec[flag])]
     if draw(st.integers(0, 9)) == 0:
-        args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(("--nope", "7", "-h"))))
+        # --giuga-cap, a removed flag, must be refused like an unknown one
+        stray = draw(st.sampled_from(("--nope", "--giuga-cap", "7", "-h")))
+        args.insert(draw(st.integers(0, len(args))), stray)
     return [command] + args
 
 
@@ -480,12 +475,10 @@ _GOLDEN_WINDOWS = {
     "2^62": ((1 << 62) - (1 << 11), (1 << 62) + (1 << 11)),
 }
 _RHO_BOUND_AT_2_62 = (
-    "g_carmichael", "g_cyclic", "g_lehmer", "congruence_exception", "giuga uncapped"
+    "g_carmichael", "g_cyclic", "g_lehmer", "congruence_exception", "giuga"
 )
 _GOLDEN_SEARCHES = {
     **{which: [which] for which in CLASSIFIER_NAMES},
-    # the default cap stops every giuga run above with exit 2 and no output
-    "giuga uncapped": ["giuga", "--giuga-cap", str((1 << 63) - 1)],
     **{f"gfp {base}": ["gfp", f"--base={base}"] for base in ("1+2i", "3+0i", "-2+5i")},
 }
 
@@ -524,8 +517,8 @@ _GOLDEN_KEYS = [
 
 # Recorded at commit 69bddf9, before the Gaussian totient sieve and the
 # base-2 mask sieve took over g_cyclic, congruence_exception, carmichael
-# and williams_1; the "giuga uncapped" runs at commit 30fcadc, while giuga
-# still factored every n.
+# and williams_1; the giuga runs at commit 30fcadc, while giuga still
+# factored every n and ran only with its cap, since removed, lifted.
 _GOLDEN = {
     ('g_carmichael', '1e7', None, 1): 'f16926a36093ed55',
     ('g_carmichael', '1e7', None, 2): 'f16926a36093ed55',
@@ -547,10 +540,10 @@ _GOLDEN = {
     ('congruence_exception', '1e7', None, 2): '4a98a7898a129971',
     ('congruence_exception', '1e7', '4,3', 1): 'b2f9416fd211bcfd',
     ('congruence_exception', '1e7', '4,3', 2): 'b2f9416fd211bcfd',
-    ('giuga', '1e7', None, 1): 'd4735e3a265e16ee',
-    ('giuga', '1e7', None, 2): 'd4735e3a265e16ee',
-    ('giuga', '1e7', '4,3', 1): 'd4735e3a265e16ee',
-    ('giuga', '1e7', '4,3', 2): 'd4735e3a265e16ee',
+    ('giuga', '1e7', None, 1): '5f669c4fce3ee91c',
+    ('giuga', '1e7', None, 2): '5f669c4fce3ee91c',
+    ('giuga', '1e7', '4,3', 1): '9b31e89111538b96',
+    ('giuga', '1e7', '4,3', 2): '9b31e89111538b96',
     ('williams_1', '1e7', None, 1): '5feceb66ffc86f38',
     ('williams_1', '1e7', None, 2): '5feceb66ffc86f38',
     ('williams_1', '1e7', '4,3', 1): '5feceb66ffc86f38',
@@ -591,10 +584,10 @@ _GOLDEN = {
     ('congruence_exception', '2^32', None, 2): 'b505430e607d25b5',
     ('congruence_exception', '2^32', '4,3', 1): 'c1cc727b081be3e1',
     ('congruence_exception', '2^32', '4,3', 2): 'c1cc727b081be3e1',
-    ('giuga', '2^32', None, 1): 'd4735e3a265e16ee',
-    ('giuga', '2^32', None, 2): 'd4735e3a265e16ee',
-    ('giuga', '2^32', '4,3', 1): 'd4735e3a265e16ee',
-    ('giuga', '2^32', '4,3', 2): 'd4735e3a265e16ee',
+    ('giuga', '2^32', None, 1): 'b618fa093f8ca18f',
+    ('giuga', '2^32', None, 2): 'b618fa093f8ca18f',
+    ('giuga', '2^32', '4,3', 1): '205d63a937626d71',
+    ('giuga', '2^32', '4,3', 2): '205d63a937626d71',
     ('williams_1', '2^32', None, 1): '5feceb66ffc86f38',
     ('williams_1', '2^32', None, 2): '5feceb66ffc86f38',
     ('williams_1', '2^32', '4,3', 1): '5feceb66ffc86f38',
@@ -625,8 +618,8 @@ _GOLDEN = {
     ('g_lehmer', '2^62', '4,3', 1): '5feceb66ffc86f38',
     ('congruence_exception', '2^62', None, 1): '7e1269c9e782337f',
     ('congruence_exception', '2^62', '4,3', 1): 'c975425eb340a770',
-    ('giuga', '2^62', None, 1): 'd4735e3a265e16ee',
-    ('giuga', '2^62', '4,3', 1): 'd4735e3a265e16ee',
+    ('giuga', '2^62', None, 1): '4016b5c1886a1a62',
+    ('giuga', '2^62', '4,3', 1): 'a91b4d42d2b30761',
     ('williams_1', '2^62', None, 1): '5feceb66ffc86f38',
     ('williams_1', '2^62', '4,3', 1): '5feceb66ffc86f38',
     ('twin_pair_product', '2^62', None, 1): '5feceb66ffc86f38',
@@ -637,16 +630,6 @@ _GOLDEN = {
     ('gfp 3+0i', '2^62', '4,3', 1): '915b480b15c83af5',
     ('gfp -2+5i', '2^62', None, 1): '24d31997061cf439',
     ('gfp -2+5i', '2^62', '4,3', 1): '5feceb66ffc86f38',
-    ('giuga uncapped', '1e7', None, 1): '5f669c4fce3ee91c',
-    ('giuga uncapped', '1e7', None, 2): '5f669c4fce3ee91c',
-    ('giuga uncapped', '1e7', '4,3', 1): '9b31e89111538b96',
-    ('giuga uncapped', '1e7', '4,3', 2): '9b31e89111538b96',
-    ('giuga uncapped', '2^32', None, 1): 'b618fa093f8ca18f',
-    ('giuga uncapped', '2^32', None, 2): 'b618fa093f8ca18f',
-    ('giuga uncapped', '2^32', '4,3', 1): '205d63a937626d71',
-    ('giuga uncapped', '2^32', '4,3', 2): '205d63a937626d71',
-    ('giuga uncapped', '2^62', None, 1): '4016b5c1886a1a62',
-    ('giuga uncapped', '2^62', '4,3', 1): 'a91b4d42d2b30761',
     ('table', 300000, None, 1): '2d1bab472405157c',
     ('table', 300000, None, 2): '2d1bab472405157c',
 }
