@@ -183,6 +183,33 @@ def brute_giuga_member(n):
     return (sr - F) % n == 0 and si % n == 0
 
 
+def _norm_one_power_sum(q, e):
+    """(order of the group mod q, sum of z^e over it), by direct summation."""
+    group = norm_one_group(q)
+    sr = si = 0
+    for a, b in group:
+        ra, rb = gpow(a, b, e % len(group), q)
+        sr += ra
+        si += rb
+    return len(group), sr, si
+
+
+def prime_power_giuga_member(n, factors):
+    """brute_giuga_member for n of any size whose prime powers are small.
+
+    The group mod n is the product of the groups mod each q = p^k || n
+    (CRT), so mod q the sum over it is |G_n| / |G_q| times the sum over
+    G_q, each summed directly.  z^|G_q| = 1 on G_q, so F(n) is taken
+    mod |G_q| there."""
+    F = naive_script_F(n)
+    sums = [(p**k, *_norm_one_power_sum(p**k, F)) for p, k in factors]
+    order = prod(size for _, size, _, _ in sums)
+    return all(
+        (order // size * sr - F) % q == 0 and order // size * si % q == 0
+        for q, size, sr, si in sums
+    )
+
+
 def classical_phi_brute(n):
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
 

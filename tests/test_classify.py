@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -13,6 +14,7 @@ from oracle_utils import (
     group_exponent,
     naive_script_F,
     norm_one_group,
+    prime_power_giuga_member,
     primes_below,
     smallest_prime_factor_sieve,
     trial_division_factorize,
@@ -168,6 +170,56 @@ class TestGiuga:
             member = giuga_membership(n)
             assert member == (gaussian_phi_from_factors(fac) == naive_script_F(n)), n
 
+    @pytest.mark.parametrize("lo", [10**5, 10**6, 10**7, 10**9])
+    def test_against_prime_power_sums_in_window(self, lo):
+        verdicts = []
+        for n in range(lo, lo + 1500):
+            factors = _small_prime_power_factors(n)
+            if factors is not None:
+                member = giuga_membership(n)
+                assert member == prime_power_giuga_member(n, factors), n
+                verdicts.append(member)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("bits", [32, 44, 54])
+    def test_against_prime_power_sums_at_height(self, bits):
+        # products of coprime prime powers q <= _SMALL_Q, drawn until n > 2^bits
+        rng = random.Random(bits)
+        verdicts = []
+        for _ in range(40):
+            n, factors = 1, {}
+            while n < 1 << bits:
+                p, k = rng.choice(_SMALL_PRIME_POWERS)
+                if p not in factors:
+                    factors[p] = k
+                    n *= p**k
+            member = giuga_membership(n)
+            assert member == prime_power_giuga_member(n, sorted(factors.items())), n
+            verdicts.append(member)
+        assert True in verdicts and False in verdicts
+
+
+# the oracle sums directly over the group mod each prime power up to this
+_SMALL_Q = 500
+_SMALL_PRIME_POWERS = [
+    (p, k) for p in primes_below(_SMALL_Q) for k in range(1, 9) if p**k <= _SMALL_Q
+]
+
+
+def _small_prime_power_factors(n):
+    """n's factorization if every p^k || n is at most _SMALL_Q, else None."""
+    factors = []
+    for p in primes_below(_SMALL_Q):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if p**k > _SMALL_Q:
+            return None
+        if k:
+            factors.append((p, k))
+    return factors if n == 1 else None
+
 
 class TestWilliams:
     def test_examples(self):
@@ -227,6 +279,20 @@ class TestClassifyReport:
 
     def test_giuga_gating(self):
         assert classify(15, with_giuga=True).giuga_member is True
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            150_000,
+            720_720,
+            2**8 * 37 * 433,
+            2**7 * 13**2 * 173 * 359 * 431 * 463,
+            3**4 * 5**3 * 7**2 * 11 * 13 * 17 * 19 * 23 * 29 * 31,
+        ],
+    )
+    def test_giuga_at_height(self, n):
+        r = classify(n, with_giuga=True)
+        assert r.giuga_member is prime_power_giuga_member(n, trial_division_factorize(n))
 
     def test_witness_reported(self):
         r = classify(561)

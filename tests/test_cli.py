@@ -64,6 +64,16 @@ class TestClassifyCommand:
         assert code == 0
         assert "\ngiuga_member: " in out
 
+    # odd primes are members; 150000 = 2^4 * 3 * 5^5 is not
+    @pytest.mark.parametrize(
+        "n, member",
+        [(150_000, "false"), (150_001, "true"), (2**32 + 15, "true"), (2**63 - 25, "true")],
+    )
+    def test_giuga_line_at_height(self, capsys, n, member):
+        code, out, _ = run_cli(capsys, "classify", str(n), "--giuga")
+        assert code == 0
+        assert f"\ngiuga_member: {member}\n" in out
+
 
 class TestSearchCommand:
     def test_g_lehmer(self, capsys):
